@@ -26,29 +26,16 @@ from .graph import (
     make_graph,
     parse_graph,
     transpose_alphabet,
-    trim,
     validate,
 )
-from .merge import (
-    Partition,
-    compute_psi,
-    merge_backward,
-    merge_forward,
-    seed_type2_partition,
-)
+from .merge import Partition
 from .oracle import (
     enumerate_small_graphs,
     oracle_minmax,
     oracle_partition,
     oracle_prefixes,
 )
-from .reduction import (
-    ExplorationRecord,
-    ReducedGraph,
-    build_reduced_graph,
-    explore_minimum_type1,
-    explore_minimum_type3,
-)
+from .reduction import ExplorationRecord, ReducedGraph, build_reduced_graph
 
 __all__ = [
     "EngineStats",
@@ -63,27 +50,20 @@ __all__ = [
     "ValidationReport",
     "bench_scaling",
     "build_reduced_graph",
-    "compute_psi",
     "compute_tau",
     "enumerate_small_graphs",
-    "explore_minimum_type1",
-    "explore_minimum_type3",
     "format_graph",
     "from_dfa",
     "gen",
     "make_graph",
     "max_partition",
-    "merge_backward",
-    "merge_forward",
     "min_partition",
     "minmax_partition",
     "oracle_minmax",
     "oracle_partition",
     "oracle_prefixes",
     "parse_graph",
-    "seed_type2_partition",
     "transpose_alphabet",
-    "trim",
     "validate",
 ]
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 validation/format failure, 2 usage error, 3 internal
-assertion (oracle disagreement under --verify, or a broken merge invariant).
+assertion: an oracle disagreement under --verify, or an ExplorationError,
+MergeError or OracleStabilizationError raised by a broken invariant.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from .graph import (
     LabeledGraph,
     format_graph,
     parse_graph,
+    require_valid,
     validate,
 )
 from .merge import MergeError, Partition
-from .oracle import oracle_minmax, oracle_partition
+from .oracle import OracleStabilizationError, oracle_minmax, oracle_partition
 from .reduction import ExplorationError
 
 EXIT_OK = 0
@@ -127,7 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphFormatError, InvalidGraphError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except (MergeError, ExplorationError, AssertionError) as e:
+    except (
+        MergeError, ExplorationError, OracleStabilizationError, AssertionError
+    ) as e:
         print(f"internal assertion: {e}", file=sys.stderr)
         return EXIT_ASSERT
     except ValueError as e:
@@ -147,6 +151,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.cmd == "tau":
         g = _load(args.file)
+        require_valid(g)
         for u, t in enumerate(compute_tau(g)):
             print(f"{u}\t{t}")
         return EXIT_OK

@@ -27,6 +27,7 @@ from .merge import (
     _run_heights,
 )
 from .reduction import (
+    ExplorationRecord,
     ExplorationScratch,
     ReducedGraph,
     build_reduced_graph,
@@ -70,7 +71,6 @@ class EngineStats:
     """Instrumentation for the complexity and recursion-size assertions."""
 
     levels: list[LevelStats] = field(default_factory=list)
-    exploration_edges: list[int] = field(default_factory=list)
     peak_exploration_edges: int = 0
 
     @property
@@ -98,6 +98,36 @@ def _tau_for_kinds(g: LabeledGraph, kinds: list[int]) -> list[int]:
     return tau
 
 
+def _level(
+    g: LabeledGraph, kinds: list[int]
+) -> tuple[
+    list[int], int, int, int, LabeledGraph, list[ExplorationRecord], ReducedGraph | None
+]:
+    """One classify-trim-explore-reduce step of the recursion.
+
+    Returns (tau, n1, n3, direction, trimmed graph, exploration records,
+    reduced graph or None when the class recursed on is empty).
+    """
+    n = g.n
+    tau = _tau_for_kinds(g, kinds)
+    n1 = tau.count(1)
+    n3 = tau.count(3)
+    direction = 3 if n3 == 0 or (n1 > 0 and n3 <= n1) else 1
+    gt = trim_for_kinds(g, tau, kinds)
+    class_nodes = [u for u in range(n) if tau[u] == direction]
+    if not class_nodes:
+        return tau, n1, n3, direction, gt, [], None
+    if min(n1, n3) > 0 and len(class_nodes) > n // 2:
+        raise AssertionError(f"recursed class has {len(class_nodes)} of {n} nodes")
+    scratch = ExplorationScratch(n)
+    records = [
+        explore(gt, tau, u, direction, maximize=kinds[u] == KIND_MAX, scratch=scratch)
+        for u in class_nodes
+    ]
+    rg = build_reduced_graph(gt, records, direction)
+    return tau, n1, n3, direction, gt, records, rg
+
+
 def _engine(
     g: LabeledGraph, kinds: list[int], stats: EngineStats | None
 ) -> list[list[int]]:
@@ -106,44 +136,20 @@ def _engine(
         return []
     if n == 1:
         return [[0]]
-    tau = _tau_for_kinds(g, kinds)
-    n1 = sum(1 for t in tau if t == 1)
-    n3 = sum(1 for t in tau if t == 3)
-
-    if n3 == 0 or (n1 > 0 and n3 <= n1):
-        direction = 3
-    else:
-        direction = 1
-    class_nodes = [u for u in range(n) if tau[u] == direction]
-
-    gt = trim_for_kinds(g, tau, kinds)
-
-    if not class_nodes:
+    tau, n1, n3, direction, gt, records, rg = _level(g, kinds)
+    if rg is None:
         class_groups: list[list[int]] = []
         reduced_n = 0
     else:
-        if min(n1, n3) > 0 and len(class_nodes) > n // 2:
-            raise AssertionError(
-                f"recursed class has {len(class_nodes)} of {n} nodes"
-            )
-        scratch = ExplorationScratch(n)
-        records = []
-        for u in class_nodes:
-            r = explore(
-                gt, tau, u, direction, maximize=kinds[u] == KIND_MAX, scratch=scratch
-            )
-            records.append(r)
-            if stats is not None:
-                stats.exploration_edges.append(r.edges_scanned)
-                if r.edges_scanned > stats.peak_exploration_edges:
-                    stats.peak_exploration_edges = r.edges_scanned
-        rg = build_reduced_graph(gt, records, direction)
         sub_kinds = [kinds[p] for p in rg.node_map]
         sub_groups = _engine(rg.graph, sub_kinds, stats)
         class_groups = [[rg.node_map[i] for i in grp] for grp in sub_groups]
         reduced_n = rg.graph.n
 
     if stats is not None:
+        for r in records:
+            if r.edges_scanned > stats.peak_exploration_edges:
+                stats.peak_exploration_edges = r.edges_scanned
         stats.levels.append(LevelStats(n, n1, n3, direction, reduced_n))
 
     fill = 1 if direction == 3 else 3
@@ -212,15 +218,5 @@ def reduction_step(
     empty). This is what the first level of min_partition does internally.
     """
     require_valid(g)
-    kinds = [KIND_MIN] * g.n
-    tau = compute_tau(g)
-    n1 = sum(1 for t in tau if t == 1)
-    n3 = sum(1 for t in tau if t == 3)
-    direction = 3 if (n3 == 0 or (n1 > 0 and n3 <= n1)) else 1
-    class_nodes = [u for u in range(g.n) if tau[u] == direction]
-    if not class_nodes:
-        return tau, direction, None
-    gt = trim_for_kinds(g, tau, kinds)
-    scratch = ExplorationScratch(g.n)
-    records = [explore(gt, tau, u, direction, scratch=scratch) for u in class_nodes]
-    return tau, direction, build_reduced_graph(gt, records, direction)
+    tau, _n1, _n3, direction, _gt, _records, rg = _level(g, [KIND_MIN] * g.n)
+    return tau, direction, rg

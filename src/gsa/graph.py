@@ -126,10 +126,11 @@ def validate(g: LabeledGraph) -> ValidationReport:
                 )
                 break
             seen.add(c)
-    used = set(g.label)
-    for c in range(g.sigma):
-        if c not in used:
-            out.append(("alphabet", f"char {c}", "character labels no node"))
+    # counted, not listed: sigma comes from the file header and may be huge
+    unused = g.sigma - sum(1 for c in set(g.label) if 0 <= c < g.sigma)
+    if unused:
+        msg = f"{unused} of {g.sigma} characters label no node"
+        out.append(("alphabet", "graph", msg))
     # preds/succs must describe the same edge multiset; skipped when succs
     # came from make_graph, which derives them from preds directly
     if not g.succs_derived:
@@ -206,34 +207,17 @@ def transpose_alphabet(g: LabeledGraph) -> LabeledGraph:
     )
 
 
-def trim(g: LabeledGraph, tau: Sequence[int]) -> LabeledGraph:
-    """Remove every edge (u,v) with tau[v] = 1 and label[v] < label[u].
-
-    Such edges can never realize the minimum of any node, so every min_u (and
-    therefore tau) is unchanged; the result still satisfies all graph
-    invariants, in particular all in-degrees stay >= 1.
-    """
-    label = g.label
-    new_preds = []
-    for v, ps in enumerate(g.preds):
-        if tau[v] == 1:
-            lv = label[v]
-            new_preds.append([u for u in ps if label[u] <= lv])
-        else:
-            new_preds.append(list(ps))
-    return make_graph(g.label, new_preds, sigma=g.sigma)
-
-
 def trim_for_kinds(
     g: LabeledGraph, tau: Sequence[int], kinds: Sequence[int]
 ) -> LabeledGraph:
-    """Trimming with a per-node comparison sense.
+    """Remove the edges that can never carry the extremal string of their target.
 
-    ``kinds[v] = 0`` means node v is ordered by its minimum (drop edges into v
-    with a strictly smaller label when tau[v] = 1); ``kinds[v] = 1`` means it
-    is ordered by its maximum (drop edges with a strictly larger label when
-    tau[v] = 3, the mirrored rule). Preserves the relevant extremal string of
-    every node.
+    ``kinds[v] = 0`` means node v is ordered by its minimum: when tau[v] = 1,
+    drop every edge (u,v) with label[u] > label[v]. ``kinds[v] = 1`` means it
+    is ordered by its maximum: when tau[v] = 3, drop every edge (u,v) with
+    label[u] < label[v], the mirrored rule. The relevant extremal string of
+    every node, and therefore tau, is unchanged, and the result still
+    satisfies all graph invariants; in particular all in-degrees stay >= 1.
     """
     label = g.label
     new_preds = []
@@ -270,6 +254,11 @@ def parse_graph(text: str) -> LabeledGraph:
         raise GraphFormatError(f"bad header numbers: {lines[0]!r}") from e
     if n < 0 or sigma < 0:
         raise GraphFormatError("negative n or sigma")
+    # bound allocations by the file, not by the header's claim
+    if n > len(text):
+        raise GraphFormatError(
+            f"header claims {n} nodes in a file of {len(text)} characters"
+        )
     labels: list[int | None] = [None] * n
     preds: list[list[int]] = [[] for _ in range(n)]
     for ln in lines[1:]:

@@ -58,28 +58,15 @@ def partition_from_groups(groups: Sequence[Sequence[int]]) -> Partition:
     return Partition(tuple(tuple(sorted(grp)) for grp in groups))
 
 
-def seed_type2_partition(g: LabeledGraph, tau: Sequence[int]) -> Partition:
-    """Group the tau=2 nodes by label, in label order (their strings are
-    label^omega, so label order is string order)."""
-    by_label: list[list[int]] = [[] for _ in range(g.sigma)]
-    for u in range(g.n):
-        if tau[u] == 2:
-            by_label[g.label[u]].append(u)
-    return partition_from_groups([grp for grp in by_label if grp])
-
-
-def compute_psi(g: LabeledGraph, tau: Sequence[int]) -> list[int]:
-    """Length of the leading label-run of min_u for every tau=3 node.
-
-    psi[u] = 1 + max psi over equal-label predecessors (all of which are
-    themselves tau=3), or 1 if there are none. Equal-label chains between
-    tau=3 nodes are acyclic, so a memoized depth-first pass suffices.
-    Entries for other nodes are 0.
-    """
-    return _run_heights(g, [t == 3 for t in tau])
-
-
 def _run_heights(g: LabeledGraph, active: Sequence[bool]) -> list[int]:
+    """Length of the leading label-run of the string of every active node.
+
+    psi[u] = 1 + max psi over active equal-label predecessors, or 1 if there
+    are none. The active nodes are the run-length-placed fill class (for
+    example the tau=3 nodes in the min sense), whose equal-label chains are
+    acyclic, so a memoized depth-first pass suffices. Entries for other nodes
+    are 0.
+    """
     n = g.n
     label = g.label
     preds = g.preds
@@ -251,21 +238,3 @@ def merge_partitions(
     if placed != n or {u for grp in out for u in grp} != set(range(n)):
         raise MergeError("merge did not place every node exactly once")
     return out
-
-
-def merge_forward(
-    g: LabeledGraph, tau: Sequence[int], b3: Partition
-) -> Partition:
-    """Forward merge: lift the min-partition of the tau=3 nodes to all of V."""
-    kinds = [KIND_MIN] * g.n
-    groups = merge_partitions(g, tau, kinds, b3.groups, direction=3)
-    return partition_from_groups(groups)
-
-
-def merge_backward(
-    g: LabeledGraph, tau: Sequence[int], psi: Sequence[int], b1: Partition
-) -> Partition:
-    """Backward merge: lift the min-partition of the tau=1 nodes to all of V."""
-    kinds = [KIND_MIN] * g.n
-    groups = merge_partitions(g, tau, kinds, b1.groups, direction=1, psi=psi)
-    return partition_from_groups(groups)

@@ -12,7 +12,7 @@ from collections.abc import Iterator, Sequence
 from itertools import product
 
 from .driver import MinMaxKey, MinMaxPartition
-from .graph import LabeledGraph, make_graph, validate
+from .graph import LabeledGraph, make_graph, require_valid
 from .merge import Partition, partition_from_groups
 
 
@@ -86,6 +86,7 @@ def oracle_partition(g: LabeledGraph, kind: str) -> Partition:
     """Ground-truth ordered partition by minima or maxima, ascending."""
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be min or max, got {kind!r}")
+    require_valid(g)
     if g.n == 0:
         return partition_from_groups([])
     rank = _rank_fixpoint(g.label, g.preds, [kind == "max"] * g.n)
@@ -94,6 +95,7 @@ def oracle_partition(g: LabeledGraph, kind: str) -> Partition:
 
 def oracle_minmax(g: LabeledGraph) -> MinMaxPartition:
     """Ground-truth joint partition of all (node, min|max) keys."""
+    require_valid(g)
     n = g.n
     labels = list(g.label) + list(g.label)
     preds = list(g.preds) + [tuple(p + n for p in ps) for ps in g.preds]

@@ -121,30 +121,6 @@ def explore(
     raise ExplorationError(f"exploration of node {u} did not stop within n+1 steps")
 
 
-def explore_minimum_type3(
-    g: LabeledGraph,
-    tau: Sequence[int],
-    u: int,
-    scratch: ExplorationScratch | None = None,
-) -> ExplorationRecord:
-    """Exploration for a tau=3 node on a trimmed graph (min sense)."""
-    if tau[u] != 3:
-        raise ValueError(f"node {u} has tau={tau[u]}, expected 3")
-    return explore(g, tau, u, direction=3, maximize=False, scratch=scratch)
-
-
-def explore_minimum_type1(
-    g: LabeledGraph,
-    tau: Sequence[int],
-    u: int,
-    scratch: ExplorationScratch | None = None,
-) -> ExplorationRecord:
-    """Exploration for a tau=1 node (min sense, complementary direction)."""
-    if tau[u] != 1:
-        raise ValueError(f"node {u} has tau={tau[u]}, expected 1")
-    return explore(g, tau, u, direction=1, maximize=False, scratch=scratch)
-
-
 @dataclass(frozen=True)
 class ReducedGraph:
     """Smaller graph over the recursed tau class.
@@ -191,7 +167,7 @@ def build_reduced_graph(
     n = g.n
     for r in records:
         if len(r.gamma) > n + 1:
-            raise ValueError(f"record for node {r.node} has gamma longer than n+1")
+            raise ExplorationError(f"record for node {r.node} has gamma longer than n+1")
     by_node = sorted(records, key=lambda r: r.node)
     parent_map = [-1] * n
     for i, r in enumerate(by_node):
@@ -211,7 +187,7 @@ def build_reduced_graph(
             for x in r.frontier:
                 xi = parent_map[x]
                 if xi < 0:
-                    raise ValueError(
+                    raise ExplorationError(
                         f"frontier node {x} of record {r.node} is outside the class"
                     )
                 ps.append(xi)

@@ -16,11 +16,12 @@ from gsa import (
     min_partition,
     minmax_partition,
     transpose_alphabet,
-    trim,
 )
 from gsa.bench import bench_scaling
 from gsa.classify import compute_tau
 from gsa.generators import gen
+from gsa.graph import trim_for_kinds
+from gsa.merge import KIND_MIN, _run_heights
 from gsa.oracle import (
     enumerate_graphs_for_n,
     enumerate_small_graphs,
@@ -28,12 +29,7 @@ from gsa.oracle import (
     oracle_partition,
     oracle_prefixes,
 )
-from gsa.reduction import (
-    ExplorationScratch,
-    build_reduced_graph,
-    explore_minimum_type1,
-    explore_minimum_type3,
-)
+from gsa.reduction import ExplorationScratch, build_reduced_graph, explore
 
 from conftest import (
     FIG_LABELS,
@@ -124,23 +120,22 @@ def test_criterion_4_structural_properties(capsys):
     for g in exhaustive + rnd:
         tau = compute_tau(g)
         L = g.n + 2
-        ok = ok and oracle_prefixes(trim(g, tau), "min", L) == oracle_prefixes(
-            g, "min", L
-        )
+        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
+        ok = ok and oracle_prefixes(gt, "min", L) == oracle_prefixes(g, "min", L)
 
     # exploration prefix correctness and the order-preservation theorem
     for g in exhaustive:
         tau = compute_tau(g)
-        gt = trim(g, tau)
+        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
         rows = oracle_prefixes(g, "min", g.n + 2)
         sc = ExplorationScratch(g.n)
         recs3 = []
         for u in range(g.n):
             if tau[u] == 3:
-                r = explore_minimum_type3(gt, tau, u, scratch=sc)
+                r = explore(gt, tau, u, direction=3, scratch=sc)
                 recs3.append(r)
             elif tau[u] == 1:
-                r = explore_minimum_type1(g, tau, u, scratch=sc)
+                r = explore(g, tau, u, direction=1, scratch=sc)
             else:
                 continue
             ok = ok and r.gamma == rows[u][: len(r.gamma)]
@@ -175,11 +170,9 @@ def test_criterion_4_structural_properties(capsys):
         )
 
     # psi-order observation on equal-label tau=3 pairs
-    from gsa.merge import compute_psi
-
     for g in exhaustive:
         tau = compute_tau(g)
-        psi = compute_psi(g, tau)
+        psi = _run_heights(g, [t == 3 for t in tau])
         rank = oracle_partition(g, "min").rank
         t3 = [u for u in range(g.n) if tau[u] == 3]
         for u in t3:

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+import gsa.cli
 from gsa import format_graph, make_graph, parse_graph
 from gsa.cli import EXIT_ASSERT, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from gsa.oracle import OracleStabilizationError
 
 from conftest import FIG_LABELS, FIG_MIN_GROUPS, FIG_PREDS
 
@@ -31,6 +33,40 @@ def test_validate_reports_violations(tmp_path, capsys):
     path.write_text("gsa-graph v1 2 1\n0\t0\t0\n", encoding="utf-8")
     assert main(["validate", str(path)]) == EXIT_INVALID
     assert "in-degree" in capsys.readouterr().out
+
+
+def test_validate_counts_unused_characters(tmp_path, capsys):
+    # one alphabet line with a count, not one line per unused character
+    path = tmp_path / "wide.tsv"
+    path.write_text("gsa-graph v1 1 3000000\n0\t0\t0\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("alphabet\t") and "2999999 of 3000000" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["tau"], ["oracle"], ["oracle", "--kind", "minmax"]],
+    ids=["tau", "oracle-min", "oracle-minmax"],
+)
+def test_tau_and_oracle_reject_invalid(args, tmp_path, capsys):
+    # node 2 has no incoming edge
+    path = tmp_path / "bad.tsv"
+    path.write_text("gsa-graph v1 3 2\n0\t0\t0\n0\t1\t1\n", encoding="utf-8")
+    assert main([*args, str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "in-degree" in captured.err
+
+
+def test_oracle_stabilization_error_exit_code(fig_file, monkeypatch, capsys):
+    def stuck(g, kind):
+        raise OracleStabilizationError("no fixpoint")
+
+    monkeypatch.setattr(gsa.cli, "oracle_partition", stuck)
+    assert main(["oracle", fig_file]) == EXIT_ASSERT
+    assert "internal assertion: no fixpoint" in capsys.readouterr().err
 
 
 def test_malformed_file(tmp_path, capsys):

@@ -14,11 +14,12 @@ from gsa import (
     make_graph,
     parse_graph,
     transpose_alphabet,
-    trim,
     validate,
 )
 from gsa.classify import compute_tau
 from gsa.generators import gen
+from gsa.graph import trim_for_kinds
+from gsa.merge import KIND_MIN
 from gsa.oracle import oracle_prefixes
 
 from conftest import FIG_LABELS, FIG_PREDS, small_corpus
@@ -128,7 +129,7 @@ def test_transpose_involution(n, sigma, seed):
 
 def test_trim_fig_graph_unchanged(fig_graph):
     tau = compute_tau(fig_graph)
-    assert trim(fig_graph, tau) == fig_graph
+    assert trim_for_kinds(fig_graph, tau, [KIND_MIN] * fig_graph.n) == fig_graph
 
 
 def test_trim_removes_witness_edge():
@@ -140,7 +141,7 @@ def test_trim_removes_witness_edge():
     assert validate(g).ok
     tau = compute_tau(g)
     assert tau[1] == 1
-    gt = trim(g, tau)
+    gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
     assert 2 not in gt.preds[1]
     L = g.n + 2
     assert oracle_prefixes(gt, "min", L) == oracle_prefixes(g, "min", L)
@@ -150,13 +151,13 @@ def test_trim_all_tau2_unchanged():
     g = make_graph([0, 0, 0], [[2], [0], [1]], sigma=1)
     tau = compute_tau(g)
     assert tau == [2, 2, 2]
-    assert trim(g, tau) == g
+    assert trim_for_kinds(g, tau, [KIND_MIN] * g.n) == g
 
 
 def test_trim_preserves_minima_exhaustively():
     for g in small_corpus(3, 2):
         tau = compute_tau(g)
-        gt = trim(g, tau)
+        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
         assert validate(gt).ok
         L = g.n + 2
         assert oracle_prefixes(gt, "min", L) == oracle_prefixes(g, "min", L)
@@ -178,6 +179,14 @@ def test_parse_rejects_inconsistent_labels():
 def test_parse_rejects_bad_header():
     with pytest.raises(GraphFormatError):
         parse_graph("nope 1 1\n")
+
+
+def test_parse_rejects_node_count_beyond_file():
+    # checked before any per-node allocation
+    with pytest.raises(GraphFormatError):
+        parse_graph("gsa-graph v1 1000000000 2\n")
+    # a short invalid file still parses, so validate can report it
+    assert parse_graph("gsa-graph v1 2 1\n0\t0\t0\n").n == 2
 
 
 def test_parse_accepts_comments():

@@ -1,29 +1,35 @@
-"""Seed partition, psi heights, and both merge directions."""
+"""Tau=2 seeds, psi heights, and both merge directions."""
 
 from __future__ import annotations
 
 import pytest
 
-from gsa import make_graph
+from gsa import make_graph, min_partition
 from gsa.classify import compute_tau
 from gsa.generators import gen
 from gsa.merge import (
+    KIND_MIN,
     MergeError,
     Partition,
-    compute_psi,
-    merge_backward,
-    merge_forward,
+    _run_heights,
+    merge_partitions,
     partition_from_groups,
-    seed_type2_partition,
 )
 from gsa.oracle import oracle_partition
 
 from conftest import FIG_MIN_GROUPS
 
 
+def _tau2_groups(g):
+    # only tau=2 nodes have the string label^omega, so each of these groups
+    # is exactly the tau=2 nodes of one label, in label order
+    tau = compute_tau(g)
+    groups = [[u for u in grp if tau[u] == 2] for grp in min_partition(g).groups]
+    return tuple(tuple(grp) for grp in groups if grp)
+
+
 def test_seed_fig(fig_graph):
-    tau = compute_tau(fig_graph)
-    assert seed_type2_partition(fig_graph, tau).groups == ((0,),)
+    assert _tau2_groups(fig_graph) == ((0,),)
 
 
 def test_seed_counting_order():
@@ -31,18 +37,18 @@ def test_seed_counting_order():
     g = make_graph([2, 0, 2, 1], [[0], [1], [2], [0]], sigma=3)
     tau = compute_tau(g)
     assert tau[:3] == [2, 2, 2]
-    assert seed_type2_partition(g, tau).groups == ((1,), (0, 2))
+    assert _tau2_groups(g) == ((1,), (0, 2))
 
 
 def test_seed_empty():
     g = make_graph([0, 1], [[1], [0]], sigma=2)
-    tau = compute_tau(g)
-    assert seed_type2_partition(g, tau).groups == ()
+    assert _tau2_groups(g) == ()
 
 
 def test_merge_forward_fig(fig_graph):
     tau = compute_tau(fig_graph)
-    out = merge_forward(fig_graph, tau, partition_from_groups([[5]]))
+    kinds = [KIND_MIN] * fig_graph.n
+    out = partition_from_groups(merge_partitions(fig_graph, tau, kinds, [[5]], 3))
     assert out.groups == FIG_MIN_GROUPS
 
 
@@ -50,23 +56,23 @@ def test_merge_forward_all_tau2():
     g = make_graph([1, 0], [[0], [1]], sigma=2)
     tau = compute_tau(g)
     assert tau == [2, 2]
-    out = merge_forward(g, tau, partition_from_groups([]))
+    out = partition_from_groups(merge_partitions(g, tau, [KIND_MIN] * g.n, [], 3))
     assert out.groups == ((1,), (0,))
 
 
 def test_merge_forward_equal_minima_join():
     # two tau=1 nodes reached from one group with one label share a group
-    g = make_graph([0, 0, 1, 1], [[0], [0], [0], [1]], sigma=2)
+    g = make_graph([0, 0, 1, 1], [[0], [1], [0], [1]], sigma=2)
     tau = compute_tau(g)
     assert tau == [2, 2, 1, 1]
-    out = merge_forward(g, tau, partition_from_groups([]))
+    out = partition_from_groups(merge_partitions(g, tau, [KIND_MIN] * g.n, [], 3))
     assert out.groups == ((0, 1), (2, 3))
     assert out == oracle_partition(g, "min")
 
 
 def test_psi_fig(fig_graph):
     tau = compute_tau(fig_graph)
-    psi = compute_psi(fig_graph, tau)
+    psi = _run_heights(fig_graph, [t == 3 for t in tau])
     assert psi[5] == 1
     assert all(psi[u] == 0 for u in range(7) if u != 5)
 
@@ -74,7 +80,7 @@ def test_psi_fig(fig_graph):
 def test_psi_chain():
     g = gen("chain-feeding-sink", 5, 2)
     tau = compute_tau(g)
-    assert compute_psi(g, tau) == [0, 1, 2, 3, 4]
+    assert _run_heights(g, [t == 3 for t in tau]) == [0, 1, 2, 3, 4]
 
 
 def test_psi_isolated_tau3():
@@ -82,7 +88,7 @@ def test_psi_isolated_tau3():
     g = make_graph([1, 0, 2], [[2], [1], [2]], sigma=3)
     tau = compute_tau(g)
     assert tau[0] == 3
-    assert compute_psi(g, tau)[0] == 1
+    assert _run_heights(g, [t == 3 for t in tau])[0] == 1
 
 
 def test_psi_equals_oracle_leading_run(exhaustive_graphs):
@@ -90,7 +96,7 @@ def test_psi_equals_oracle_leading_run(exhaustive_graphs):
 
     for g in exhaustive_graphs:
         tau = compute_tau(g)
-        psi = compute_psi(g, tau)
+        psi = _run_heights(g, [t == 3 for t in tau])
         rows = oracle_prefixes(g, "min", g.n + 2)
         for u in range(g.n):
             if tau[u] != 3:
@@ -105,9 +111,10 @@ def test_psi_equals_oracle_leading_run(exhaustive_graphs):
 
 def test_merge_backward_fig(fig_graph):
     tau = compute_tau(fig_graph)
-    psi = compute_psi(fig_graph, tau)
-    b1 = partition_from_groups([[1], [2], [3], [4], [6]])
-    out = merge_backward(fig_graph, tau, psi, b1)
+    psi = _run_heights(fig_graph, [t == 3 for t in tau])
+    kinds = [KIND_MIN] * fig_graph.n
+    b1 = [[1], [2], [3], [4], [6]]
+    out = partition_from_groups(merge_partitions(fig_graph, tau, kinds, b1, 1, psi))
     assert out.groups == FIG_MIN_GROUPS
 
 
@@ -115,7 +122,9 @@ def test_merge_backward_no_tau3():
     g = make_graph([0, 1], [[0], [0]], sigma=2)
     tau = compute_tau(g)
     assert tau == [2, 1]
-    out = merge_backward(g, tau, compute_psi(g, tau), partition_from_groups([[1]]))
+    psi = _run_heights(g, [t == 3 for t in tau])
+    kinds = [KIND_MIN] * g.n
+    out = partition_from_groups(merge_partitions(g, tau, kinds, [[1]], 1, psi))
     assert out.groups == ((0,), (1,))
 
 
@@ -127,8 +136,9 @@ def test_merge_backward_reemission():
     g = make_graph(labels, preds, sigma=2)
     tau = compute_tau(g)
     assert tau == [3, 3, 1, 2]
-    b1 = partition_from_groups([[2]])
-    out = merge_backward(g, tau, compute_psi(g, tau), b1)
+    psi = _run_heights(g, [t == 3 for t in tau])
+    kinds = [KIND_MIN] * g.n
+    out = partition_from_groups(merge_partitions(g, tau, kinds, [[2]], 1, psi))
     assert out == oracle_partition(g, "min")
     assert out.groups == ((0,), (1,), (2,), (3,))
 
@@ -136,15 +146,13 @@ def test_merge_backward_reemission():
 def test_both_directions_agree_exhaustively(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
+        kinds = [KIND_MIN] * g.n
         truth = oracle_partition(g, "min")
-        b3 = partition_from_groups(
-            [[u for u in grp if tau[u] == 3] for grp in truth.groups]
-        )
-        b1 = partition_from_groups(
-            [[u for u in grp if tau[u] == 1] for grp in truth.groups]
-        )
-        fwd = merge_forward(g, tau, b3)
-        bwd = merge_backward(g, tau, compute_psi(g, tau), b1)
+        b3 = [[u for u in grp if tau[u] == 3] for grp in truth.groups]
+        b1 = [[u for u in grp if tau[u] == 1] for grp in truth.groups]
+        psi = _run_heights(g, [t == 3 for t in tau])
+        fwd = partition_from_groups(merge_partitions(g, tau, kinds, b3, 3))
+        bwd = partition_from_groups(merge_partitions(g, tau, kinds, b1, 1, psi))
         assert fwd == truth, (g.label, g.preds)
         assert bwd == truth, (g.label, g.preds)
 
@@ -164,7 +172,7 @@ def test_psi_order_observation(exhaustive_graphs):
     # equal-label tau=3 nodes: strictly larger psi means strictly smaller min
     for g in exhaustive_graphs:
         tau = compute_tau(g)
-        psi = compute_psi(g, tau)
+        psi = _run_heights(g, [t == 3 for t in tau])
         rank = oracle_partition(g, "min").rank
         t3 = [u for u in range(g.n) if tau[u] == 3]
         for u in t3:
@@ -176,7 +184,7 @@ def test_psi_order_observation(exhaustive_graphs):
 def test_merge_rejects_impure_class_group(fig_graph):
     tau = compute_tau(fig_graph)
     with pytest.raises(MergeError):
-        merge_forward(fig_graph, tau, partition_from_groups([[5, 1]]))
+        merge_partitions(fig_graph, tau, [KIND_MIN] * fig_graph.n, [[5, 1]], 3)
 
 
 def test_partition_rank_consistency():

@@ -4,21 +4,24 @@ from __future__ import annotations
 
 import pytest
 
-from gsa import make_graph, trim, validate
+from gsa import make_graph, validate
 from gsa.classify import compute_tau
+from gsa.graph import trim_for_kinds
+from gsa.merge import KIND_MIN
 from gsa.oracle import oracle_partition, oracle_prefixes
 from gsa.reduction import (
+    ExplorationError,
     ExplorationRecord,
     ExplorationScratch,
     build_reduced_graph,
-    explore_minimum_type1,
-    explore_minimum_type3,
+    explore,
 )
 
 
 def test_fig_type3_exploration(fig_graph):
     tau = compute_tau(fig_graph)
-    r = explore_minimum_type3(trim(fig_graph, tau), tau, 5)
+    gt = trim_for_kinds(fig_graph, tau, [KIND_MIN] * fig_graph.n)
+    r = explore(gt, tau, 5, direction=3)
     # min_5 = a b # ...; the walk stops at the #-looped node
     assert r.gamma == (1, 2, 0)
     assert r.t == 2
@@ -28,7 +31,7 @@ def test_fig_type3_exploration(fig_graph):
 def test_two_cycle_type3_exploration():
     g = make_graph([0, 1], [[1], [0]], sigma=2)
     tau = compute_tau(g)
-    r = explore_minimum_type3(trim(g, tau), tau, 0)
+    r = explore(trim_for_kinds(g, tau, [KIND_MIN] * g.n), tau, 0, direction=3)
     assert r.gamma == (0, 1, 0)
     assert r.t == 3
     assert r.frontier == (0,)
@@ -39,15 +42,15 @@ def test_immediate_tau2_stop():
     g = make_graph([0, 1], [[1], [1]], sigma=2)
     tau = compute_tau(g)
     assert tau == [3, 2]
-    r = explore_minimum_type3(trim(g, tau), tau, 0)
+    r = explore(trim_for_kinds(g, tau, [KIND_MIN] * g.n), tau, 0, direction=3)
     assert r.gamma == (0, 1) and r.t == 2 and r.frontier == (1,)
 
 
 def test_fig_type1_explorations(fig_graph):
     tau = compute_tau(fig_graph)
-    r4 = explore_minimum_type1(fig_graph, tau, 4)
+    r4 = explore(fig_graph, tau, 4, direction=1)
     assert r4.gamma == (3, 1) and r4.t == 1 and r4.frontier == (1,)
-    r1 = explore_minimum_type1(fig_graph, tau, 1)
+    r1 = explore(fig_graph, tau, 1, direction=1)
     assert r1.gamma == (1, 0) and r1.t == 2 and r1.frontier == (0,)
 
 
@@ -58,32 +61,24 @@ def test_type1_walks_through_tau3_chain():
     g = make_graph(labels, preds, sigma=4)
     tau = compute_tau(g)
     assert tau == [2, 3, 3, 1, 2]
-    r = explore_minimum_type1(g, tau, 3)
+    r = explore(g, tau, 3, direction=1)
     assert r.gamma == (2, 1, 1, 3)
     assert r.t == 2 and r.frontier == (0,)
     pfx = oracle_prefixes(g, "min", g.n + 2)[3]
     assert r.gamma == pfx[: len(r.gamma)]
 
 
-def test_explore_rejects_wrong_class(fig_graph):
-    tau = compute_tau(fig_graph)
-    with pytest.raises(ValueError):
-        explore_minimum_type3(fig_graph, tau, 1)
-    with pytest.raises(ValueError):
-        explore_minimum_type1(fig_graph, tau, 5)
-
-
 def test_gamma_matches_oracle_prefix_exhaustively(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
-        gt = trim(g, tau)
+        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
         rows = oracle_prefixes(g, "min", g.n + 2)
         sc = ExplorationScratch(g.n)
         for u in range(g.n):
             if tau[u] == 3:
-                r = explore_minimum_type3(gt, tau, u, scratch=sc)
+                r = explore(gt, tau, u, direction=3, scratch=sc)
             elif tau[u] == 1:
-                r = explore_minimum_type1(g, tau, u, scratch=sc)
+                r = explore(g, tau, u, direction=1, scratch=sc)
             else:
                 continue
             assert r.gamma == rows[u][: len(r.gamma)], (g.label, g.preds, u)
@@ -98,23 +93,23 @@ def test_gamma_matches_oracle_prefix_exhaustively(exhaustive_graphs):
 def test_gamma_monotone_by_direction(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
-        gt = trim(g, tau)
+        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
         sc = ExplorationScratch(g.n)
         for u in range(g.n):
             if tau[u] == 3:
-                r = explore_minimum_type3(gt, tau, u, scratch=sc)
+                r = explore(gt, tau, u, direction=3, scratch=sc)
                 body = r.gamma[1:]
                 assert all(a >= b for a, b in zip(body, body[1:]))
             elif tau[u] == 1:
-                r = explore_minimum_type1(g, tau, u, scratch=sc)
+                r = explore(g, tau, u, direction=1, scratch=sc)
                 body = r.gamma[1:]
                 assert all(a <= b for a, b in zip(body, body[1:]))
 
 
 def test_build_reduced_fig(fig_graph):
     tau = compute_tau(fig_graph)
-    gt = trim(fig_graph, tau)
-    r = explore_minimum_type3(gt, tau, 5)
+    gt = trim_for_kinds(fig_graph, tau, [KIND_MIN] * fig_graph.n)
+    r = explore(gt, tau, 5, direction=3)
     rg = build_reduced_graph(gt, [r], 3)
     assert rg.node_map == (5,)
     assert rg.letter_key == (((1, 2, 0), 2),)
@@ -172,10 +167,10 @@ def test_order_preservation_exhaustively(exhaustive_graphs):
         tau = compute_tau(g)
         if sum(1 for t in tau if t == 3) < 2:
             continue
-        gt = trim(g, tau)
+        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
         sc = ExplorationScratch(g.n)
         recs = [
-            explore_minimum_type3(gt, tau, u, scratch=sc)
+            explore(gt, tau, u, direction=3, scratch=sc)
             for u in range(g.n)
             if tau[u] == 3
         ]
@@ -194,10 +189,10 @@ def test_order_preservation_exhaustively(exhaustive_graphs):
 def test_reduced_self_loops_iff_t2(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
-        gt = trim(g, tau)
+        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
         sc = ExplorationScratch(g.n)
         recs = [
-            explore_minimum_type3(gt, tau, u, scratch=sc)
+            explore(gt, tau, u, direction=3, scratch=sc)
             for u in range(g.n)
             if tau[u] == 3
         ]
@@ -219,14 +214,14 @@ def test_edge_work_bound_on_trimmed(exhaustive_graphs):
         make_graph([0, 1], [[1], [0]], sigma=2),
     ]:
         tau = compute_tau(g)
-        gt = trim(g, tau)
+        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
         sc = ExplorationScratch(g.n)
         for u in range(g.n):
             if tau[u] == 3:
-                r = explore_minimum_type3(gt, tau, u, scratch=sc)
+                r = explore(gt, tau, u, direction=3, scratch=sc)
                 assert r.edges_scanned <= 2 * g.n
 
 
 def test_rejects_overlong_record(fig_graph):
-    with pytest.raises(ValueError):
+    with pytest.raises(ExplorationError):
         build_reduced_graph(fig_graph, [_rec(5, tuple(range(20)), 2)], 3)
