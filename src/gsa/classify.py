@@ -15,7 +15,6 @@ classification runs in O(|E|).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
 
 from .graph import LabeledGraph
 
@@ -24,7 +23,8 @@ def compute_tau(g: LabeledGraph) -> list[int]:
     """Return tau[u] in {1,2,3} for every node.
 
     Phase 1 marks tau=1 nodes: seeds are nodes with a strictly smaller-labeled
-    predecessor, and the property propagates forward along equal-label edges.
+    predecessor (rows are in label order, so ``preds[v][0]`` decides), and
+    the property propagates forward along equal-label edges.
     Phase 2 decides 2 vs 3 for the rest: a node is tau=2 exactly when walking
     equal-label edges backward can reach a repeated node (an equal-label
     cycle). A depth-first search with memoized verdicts finds this; whenever a
@@ -40,7 +40,7 @@ def compute_tau(g: LabeledGraph) -> list[int]:
     queue: deque[int] = deque()
     for v in range(n):
         ps = preds[v]
-        if ps and min(label[p] for p in ps) < label[v]:
+        if ps and label[ps[0]] < label[v]:
             one[v] = True
             queue.append(v)
     while queue:
@@ -90,14 +90,3 @@ def compute_tau(g: LabeledGraph) -> list[int]:
 
     return [1 if one[u] else verdict[u] for u in range(n)]
 
-
-def tau_invariant_violations(g: LabeledGraph, tau: Sequence[int]) -> list[str]:
-    """Edge-local sanity conditions any correct tau vector satisfies."""
-    bad = []
-    for u, ss in enumerate(g.succs):
-        for v in ss:
-            if g.label[u] < g.label[v] and tau[v] != 1:
-                bad.append(f"edge ({u},{v}): smaller-label pred but tau[v]={tau[v]}")
-            if g.label[u] == g.label[v] and tau[u] == 1 and tau[v] != 1:
-                bad.append(f"edge ({u},{v}): equal-label tau=1 pred but tau[v]={tau[v]}")
-    return bad

@@ -56,22 +56,12 @@ def _print_partition(p: Partition, as_json: bool) -> None:
 
 def _print_minmax(p: MinMaxPartition, as_json: bool) -> None:
     if as_json:
-        print(
-            json.dumps(
-                {
-                    "groups": [
-                        [[k.node, k.kind] for k in grp] for grp in p.groups
-                    ]
-                }
-            )
-        )
+        groups = [[[k.node, k.kind] for k in grp] for grp in p.groups]
+        print(json.dumps({"groups": groups}))
     else:
         for grp in p.groups:
-            print(
-                " ".join(
-                    ("m:" if k.kind == "min" else "M:") + str(k.node) for k in grp
-                )
-            )
+            tags = (("m:" if k.kind == "min" else "M:") + str(k.node) for k in grp)
+            print(" ".join(tags))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,7 +182,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             gs = ",".join(str(x) for x in gamma)
             print(f"char\t{c}\t({gs})\tt={t}")
         for v, ps in enumerate(rg.graph.preds):
-            for u in ps:
+            for u in sorted(ps):
                 print(f"edge\t{u}\t{v}")
         return EXIT_OK
 

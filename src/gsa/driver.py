@@ -178,11 +178,8 @@ def max_partition(g: LabeledGraph, stats: EngineStats | None = None) -> Partitio
 def _union_graph(g: LabeledGraph) -> LabeledGraph:
     """Two disjoint copies of g in one id space (copy 2 offset by n)."""
     n = g.n
-    labels = list(g.label) + list(g.label)
-    preds = [list(ps) for ps in g.preds] + [
-        [p + n for p in ps] for ps in g.preds
-    ]
-    return make_graph(labels, preds, sigma=g.sigma)
+    preds = list(g.preds) + [[p + n for p in ps] for ps in g.preds]
+    return make_graph(g.label * 2, preds, sigma=g.sigma)
 
 
 def minmax_partition(
@@ -196,16 +193,9 @@ def minmax_partition(
     groups = _engine(u2, kinds, stats)
     out = []
     for grp in groups:
-        keys = tuple(
-            sorted(
-                (
-                    MinMaxKey(x % n, "min" if x < n else "max")
-                    for x in grp
-                ),
-                key=lambda k: (k.node, k.kind != "min"),
-            )
-        )
-        out.append(keys)
+        # by node, min before max: copy 2 holds the max keys
+        grp = sorted(grp, key=lambda x: (x % n, x))
+        out.append(tuple(MinMaxKey(x % n, "min" if x < n else "max") for x in grp))
     return MinMaxPartition(tuple(out))
 
 

@@ -10,8 +10,12 @@ are a derived index.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
-from dataclasses import dataclass, field
+import io
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
+from collections.abc import Hashable, Sequence
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
 
 class GraphFormatError(ValueError):
@@ -27,8 +31,12 @@ class LabeledGraph:
     """Immutable deterministic, input-consistent labeled graph.
 
     Nodes are ``0..n-1``, characters are ``0..sigma-1`` ordered by integer
-    value. ``preds[v]`` lists the sources of edges entering ``v``; ``succs`` is
-    the derived forward index and is kept consistent by construction.
+    value. ``preds[v]`` lists the sources of edges entering ``v`` sorted by
+    their labels, so ``preds[v][0]`` carries the least label and
+    ``preds[v][-1]`` the greatest; :func:`make_graph` breaks ties by id.
+    ``succs`` is the derived forward index, each row in id order. A
+    hand-built graph must keep both orders; :func:`validate` reports a row
+    out of label order under the rule ``order``.
     """
 
     n: int
@@ -36,18 +44,12 @@ class LabeledGraph:
     label: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
     succs: tuple[tuple[int, ...], ...]
-    # set by make_graph, whose succs are correct by construction; lets
-    # validate skip the O(m log m) preds/succs cross-check
+    # set by make_graph, whose rows are in label order and whose succs match
+    # preds by construction; lets validate skip the order and index checks
     succs_derived: bool = field(default=False, compare=False, repr=False)
 
     def edge_count(self) -> int:
-        return sum(len(p) for p in self.preds)
-
-    def edges(self) -> Iterable[tuple[int, int]]:
-        """Yield edges as (source, target) pairs."""
-        for v, ps in enumerate(self.preds):
-            for u in ps:
-                yield (u, v)
+        return sum(map(len, self.preds))
 
 
 @dataclass(frozen=True)
@@ -58,83 +60,118 @@ class ValidationReport:
 
 def make_graph(
     labels: Sequence[int],
-    preds: Sequence[Iterable[int]],
+    preds: Sequence[Sequence[int]],
     sigma: int | None = None,
 ) -> LabeledGraph:
     """Build a LabeledGraph from per-node labels and predecessor lists.
 
-    Derives the successor index. Does not validate; call :func:`validate` to
-    check the structural assumptions.
+    The input rows may be in any order. The stored ``preds[v]`` is sorted by
+    (label of the source, source id) and ``succs[u]`` by id. Does not
+    validate; call :func:`validate` to check the structural assumptions.
     """
     n = len(labels)
     if len(preds) != n:
         raise GraphFormatError(f"got {n} labels but {len(preds)} predecessor lists")
+    ids = list(range(n))
+    succ: list[list[int]] = [[] for _ in ids]
+    for v in ids:
+        ps = preds[v]
+        if ps:
+            if min(ps) < 0 or max(ps) >= n:
+                raise GraphFormatError(f"edge into {v} has source out of range for n={n}")
+            for u in ps:
+                succ[u].append(v)
+    rows = [[] if ps else () for ps in preds]
+    return _assemble(tuple(labels), succ, rows, ids, sigma)
+
+
+def _assemble(
+    label: tuple[int, ...], succ: list, rows: list, ids: list[int], sigma: int | None
+) -> LabeledGraph:
+    """The one graph builder behind make_graph and parse_graph.
+
+    ``succ[u]`` lists the targets of u in id order, ``rows[v]`` is an empty
+    list when v has a predecessor and ``()`` otherwise, and ``ids[i]`` is the
+    int object stored for node i. Visiting sources in label order fills
+    every row in (label, id) order without sorting a row. Every stored id is
+    an object of ``ids``, so the adjacency references n distinct ints, which
+    keeps large graphs cache-resident.
+    """
+    for u in sorted(ids, key=label.__getitem__):
+        for v in succ[u]:
+            rows[v].append(u)
     if sigma is None:
-        sigma = max(labels) + 1 if n else 0
-    # route every stored id through one shared table so equal ids are the
-    # same object; adjacency then references only n distinct ints, which
-    # keeps large graphs cache-resident
-    canon = list(range(n))
-    succ_lists: list[list[int]] = [[] for _ in range(n)]
-    rows = []
-    for v in range(n):
-        row = sorted(preds[v])
-        if row and not 0 <= row[0] <= row[-1] < n:
-            raise GraphFormatError(f"edge into {v} has source out of range for n={n}")
-        crow = tuple(map(canon.__getitem__, row))
-        rows.append(crow)
-        cv = canon[v]
-        for u in crow:
-            succ_lists[u].append(cv)
-    pt = tuple(rows)
+        sigma = max(label) + 1 if label else 0
     return LabeledGraph(
-        n=n,
+        n=len(label),
         sigma=sigma,
-        label=tuple(labels),
-        preds=pt,
-        succs=tuple(tuple(s) for s in succ_lists),
+        label=label,
+        preds=_frozen(rows),
+        succs=_frozen(succ),
         succs_derived=True,
     )
+
+
+def _frozen(rows: list) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as a tuple of tuples. Each list is released as soon as it is
+    copied, so the copy never doubles the adjacency's memory."""
+    for i, r in enumerate(rows):
+        rows[i] = tuple(r)
+    return tuple(rows)
 
 
 def validate(g: LabeledGraph) -> ValidationReport:
     """Check every structural invariant of LabeledGraph.
 
     Violations are data, not exceptions; callers that require validity raise
-    :class:`InvalidGraphError` themselves.
+    :class:`InvalidGraphError` themselves. A rule that can fail at every node
+    is reported once, with a count and the first offending node, so the
+    report stays small for a file that claims many nodes but holds few edges.
     """
     out: list[tuple[str, str, str]] = []
-    if len(g.label) != g.n or len(g.preds) != g.n or len(g.succs) != g.n:
-        out.append(("shape", "graph", "label/preds/succs length differs from n"))
-        return ValidationReport(False, tuple(out))
-    for u, c in enumerate(g.label):
-        if not 0 <= c < g.sigma:
-            out.append(("label-range", f"node {u}", f"label {c} outside 0..{g.sigma - 1}"))
-    for v, ps in enumerate(g.preds):
-        if not ps:
-            out.append(("in-degree", f"node {v}", "node without predecessor"))
-        for u in ps:
-            if not 0 <= u < g.n:
-                out.append(("edge-range", f"edge ({u},{v})", "source out of range"))
-    for u, ss in enumerate(g.succs):
-        seen: set[int] = set()
-        for v in ss:
-            c = g.label[v]
-            if c in seen:
-                out.append(
-                    ("determinism", f"node {u}", f"two successors labeled {c}")
-                )
-                break
-            seen.add(c)
+    n, sigma, label, preds = g.n, g.sigma, g.label, g.preds
+    if len(label) != n or len(preds) != n or len(g.succs) != n:
+        msg = "label/preds/succs length differs from n"
+        return ValidationReport(False, (("shape", "graph", msg),))
+    if n and (min(label) < 0 or max(label) >= sigma):
+        k = sum(1 for c in label if not 0 <= c < sigma)
+        u = next(u for u, c in enumerate(label) if not 0 <= c < sigma)
+        msg = f"{k} of {n} labels outside 0..{sigma - 1}"
+        out.append(("label-range", f"node {u}", msg))
+    if not all(preds):
+        v = next(v for v, ps in enumerate(preds) if not ps)
+        msg = f"{n - sum(map(bool, preds))} of {n} nodes have no predecessor"
+        out.append(("in-degree", f"node {v}", msg))
+    # deterministic: no source appears twice among the predecessors of the
+    # nodes with one label
+    by_label: dict[int, list[tuple[int, ...]]] = {}
+    for c, ps in zip(label, preds):
+        if ps:
+            by_label.setdefault(c, []).append(ps)
+    dup: dict[int, int] = {}  # source -> least label it reaches twice
+    for c in sorted(by_label):
+        rs = by_label[c]
+        if sum(map(len, rs)) != len(set().union(*rs)):
+            for u, times in Counter(chain.from_iterable(rs)).items():
+                if times > 1:
+                    dup.setdefault(u, c)
+    out += [("determinism", f"node {u}", f"two successors labeled {dup[u]}")
+            for u in sorted(dup)]
     # counted, not listed: sigma comes from the file header and may be huge
-    unused = g.sigma - sum(1 for c in set(g.label) if 0 <= c < g.sigma)
+    unused = sigma - sum(1 for c in set(label) if 0 <= c < sigma)
     if unused:
-        msg = f"{unused} of {g.sigma} characters label no node"
+        msg = f"{unused} of {sigma} characters label no node"
         out.append(("alphabet", "graph", msg))
-    # preds/succs must describe the same edge multiset; skipped when succs
-    # came from make_graph, which derives them from preds directly
+    # make_graph range-checks and sorts every row and derives succs from
+    # preds; other graphs get all three checked
     if not g.succs_derived:
-        back = sorted((u, v) for v, ps in enumerate(g.preds) for u in ps)
+        for v, ps in enumerate(preds):
+            if ps and not 0 <= min(ps) <= max(ps) < n:
+                out += [("edge-range", f"edge ({u},{v})", "source out of range")
+                        for u in ps if not 0 <= u < n]
+            elif any(label[a] > label[b] for a, b in zip(ps, ps[1:])):
+                out.append(("order", f"node {v}", "predecessors not sorted by label"))
+        back = sorted((u, v) for v, ps in enumerate(preds) for u in ps)
         fwd = sorted((u, v) for u, ss in enumerate(g.succs) for v in ss)
         if back != fwd:
             out.append(("index", "graph", "preds and succs disagree"))
@@ -186,24 +223,20 @@ def from_dfa(
             raise GraphFormatError(f"state {u} is nondeterministic on char {ci}")
         out_chars[u].add(ci)
         preds[v].append(u)
-    for v, lab in enumerate(labels):
-        if lab is None:
-            raise GraphFormatError(f"state {v} has no incoming edge and is not initial")
-    final = [int(x) for x in labels if x is not None]
-    assert len(final) == num_states
-    return make_graph(final, preds, sigma=len(chars) + 1), charmap
+    if None in labels:
+        v = labels.index(None)
+        raise GraphFormatError(f"state {v} has no incoming edge and is not initial")
+    return make_graph(labels, preds, sigma=len(chars) + 1), charmap
 
 
 def transpose_alphabet(g: LabeledGraph) -> LabeledGraph:
-    """Flip the character order: label c becomes sigma-1-c. An involution."""
+    """Flip the character order: label c becomes sigma-1-c. An involution.
+
+    Each row is reversed, so it is in label order under the flipped labels.
+    """
     s = g.sigma - 1
-    return LabeledGraph(
-        n=g.n,
-        sigma=g.sigma,
-        label=tuple(s - c for c in g.label),
-        preds=g.preds,
-        succs=g.succs,
-        succs_derived=g.succs_derived,
+    return replace(
+        g, label=tuple(s - c for c in g.label), preds=tuple(ps[::-1] for ps in g.preds)
     )
 
 
@@ -218,18 +251,27 @@ def trim_for_kinds(
     label[u] < label[v], the mirrored rule. The relevant extremal string of
     every node, and therefore tau, is unchanged, and the result still
     satisfies all graph invariants; in particular all in-degrees stay >= 1.
+    Rows are in label order, so each trimmed row is a prefix (min) or a
+    suffix (max) of the input row. Returns ``g`` itself when nothing is
+    dropped.
     """
     label = g.label
-    new_preds = []
-    for v, ps in enumerate(g.preds):
+    key = label.__getitem__
+    rows = list(g.preds)
+    for v, ps in enumerate(rows):
         lv = label[v]
-        if kinds[v] == 0 and tau[v] == 1:
-            new_preds.append([u for u in ps if label[u] <= lv])
-        elif kinds[v] == 1 and tau[v] == 3:
-            new_preds.append([u for u in ps if label[u] >= lv])
-        else:
-            new_preds.append(list(ps))
-    return make_graph(g.label, new_preds, sigma=g.sigma)
+        if tau[v] == 1 and kinds[v] == 0 and label[ps[-1]] > lv:
+            rows[v] = ps[: bisect_right(ps, lv, key=key)]
+        elif tau[v] == 3 and kinds[v] == 1 and label[ps[0]] < lv:
+            rows[v] = ps[bisect_left(ps, lv, key=key) :]
+    preds = tuple(rows)
+    if preds == g.preds:  # identity-equal rows compare in O(1) each
+        return g
+    succ: list[list[int]] = [[] for _ in rows]
+    for v, ps in enumerate(rows):
+        for u in ps:
+            succ[u].append(v)
+    return replace(g, preds=preds, succs=_frozen(succ), succs_derived=True)
 
 
 HEADER_PREFIX = "gsa-graph v1"
@@ -240,18 +282,24 @@ def parse_graph(text: str) -> LabeledGraph:
 
     Header ``gsa-graph v1 <n> <sigma>``, then one ``u<TAB>v<TAB>c`` line per
     edge where c must equal the label of v. Lines starting with ``#`` are
-    comments. Rejects inconsistent labels.
+    comments. Rejects inconsistent labels. Lines are read one at a time, and
+    per-node arrays are allocated only after the last edge line, so memory
+    follows the file's content, not the header's node count.
     """
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if not lines:
+    if any(sep in text for sep in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+        lines = io.StringIO("\n".join(text.splitlines()))  # str.splitlines' breaks
+    else:
+        lines = io.StringIO(text, newline=None)
+    first = next((ln for ln in lines if ln[0] not in "#\n"), "").rstrip("\n")
+    if not first:
         raise GraphFormatError("empty graph file")
-    head = lines[0].split()
+    head = first.split()
     if len(head) != 4 or " ".join(head[:2]) != HEADER_PREFIX:
-        raise GraphFormatError(f"bad header: {lines[0]!r}")
+        raise GraphFormatError(f"bad header: {first!r}")
     try:
         n, sigma = int(head[2]), int(head[3])
     except ValueError as e:
-        raise GraphFormatError(f"bad header numbers: {lines[0]!r}") from e
+        raise GraphFormatError(f"bad header numbers: {first!r}") from e
     if n < 0 or sigma < 0:
         raise GraphFormatError("negative n or sigma")
     # bound allocations by the file, not by the header's claim
@@ -259,35 +307,47 @@ def parse_graph(text: str) -> LabeledGraph:
         raise GraphFormatError(
             f"header claims {n} nodes in a file of {len(text)} characters"
         )
-    labels: list[int | None] = [None] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for ln in lines[1:]:
-        parts = ln.split("\t")
-        if len(parts) != 3:
-            raise GraphFormatError(f"bad edge line: {ln!r}")
+    labels: dict[int, int] = {}  # node with an in-edge -> its label
+    canon: dict[int, int] = {}  # one int object per target id
+    succ: defaultdict[int, list[int]] = defaultdict(list)
+    for ln in lines:
+        # a trailing newline lands in the last field, which int() ignores;
+        # blank and comment lines fail to split and are skipped here
         try:
-            u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
+            a, b, z = ln.split("\t")
+            u, v, c = int(a), int(b), int(z)
         except ValueError as e:
-            raise GraphFormatError(f"bad edge line: {ln!r}") from e
+            if ln[0] in "#\n":
+                continue
+            bad = ln.rstrip("\n")
+            raise GraphFormatError(f"bad edge line: {bad!r}") from e
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"edge ({u},{v}) out of range")
         if not 0 <= c < sigma:
             raise GraphFormatError(f"char {c} out of range")
-        if labels[v] is None:
-            labels[v] = c
-        elif labels[v] != c:
-            raise GraphFormatError(
-                f"node {v} has inconsistent labels {labels[v]} and {c}"
-            )
-        preds[v].append(u)
-    final_labels = [c if c is not None else 0 for c in labels]
-    return make_graph(final_labels, preds, sigma=sigma)
+        old = labels.setdefault(v, c)
+        if old != c:
+            raise GraphFormatError(f"node {v} has inconsistent labels {old} and {c}")
+        succ[u].append(canon.setdefault(v, v))
+    for row in succ.values():
+        row.sort()  # linear when the file lists edges by target
+    ids = [canon.get(i, i) for i in range(n)]
+    return _assemble(
+        tuple([labels.get(v, 0) for v in ids]),
+        [succ.get(u, ()) for u in ids],
+        [[] if v in labels else () for v in ids],
+        ids,
+        sigma,
+    )
 
 
 def format_graph(g: LabeledGraph) -> str:
-    """Serialize to the TSV file format; inverse of :func:`parse_graph`."""
+    """Serialize to the TSV file format; inverse of :func:`parse_graph`.
+
+    Edges are written by target, and by source id within a target.
+    """
     out = [f"{HEADER_PREFIX} {g.n} {g.sigma}"]
     for v, ps in enumerate(g.preds):
-        for u in ps:
+        for u in sorted(ps):
             out.append(f"{u}\t{v}\t{g.label[v]}")
     return "\n".join(out) + "\n"

@@ -49,10 +49,6 @@ class Partition:
         r = {u: i for i, grp in enumerate(self.groups) for u in grp}
         object.__setattr__(self, "rank", r)
 
-    @property
-    def universe(self) -> set[int]:
-        return set(self.rank)
-
 
 def partition_from_groups(groups: Sequence[Sequence[int]]) -> Partition:
     return Partition(tuple(tuple(sorted(grp)) for grp in groups))

@@ -155,31 +155,3 @@ def enumerate_small_graphs(n_max: int, sigma: int) -> Iterator[LabeledGraph]:
     for n in range(1, n_max + 1):
         yield from enumerate_graphs_for_n(n, sigma)
 
-
-def count_graphs_by_edge_subsets(n: int, sigma_max: int) -> int:
-    """Independent recount of enumerate_graphs_for_n, for self-consistency.
-
-    Enumerates raw edge subsets of the complete digraph and filters by the
-    graph invariants directly. Exponential in n^2; keep n <= 3.
-    """
-    all_edges = [(u, v) for u in range(n) for v in range(n)]
-    count = 0
-    for s in range(1, min(n, sigma_max) + 1):
-        for labels in product(range(s), repeat=n):
-            if len(set(labels)) != s:
-                continue
-            for mask in range(1 << len(all_edges)):
-                indeg = [0] * n
-                out_chars: list[set[int]] = [set() for _ in range(n)]
-                ok = True
-                for i, (u, v) in enumerate(all_edges):
-                    if not mask >> i & 1:
-                        continue
-                    indeg[v] += 1
-                    if labels[v] in out_chars[u]:
-                        ok = False
-                        break
-                    out_chars[u].add(labels[v])
-                if ok and all(d > 0 for d in indeg):
-                    count += 1
-    return count

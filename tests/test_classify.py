@@ -2,15 +2,29 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gsa import make_graph
-from gsa.classify import compute_tau, tau_invariant_violations
+from gsa import LabeledGraph, make_graph
+from gsa.classify import compute_tau
 from gsa.generators import gen
 from gsa.oracle import oracle_partition, oracle_prefixes
 
 from conftest import FIG_TAU, random_corpus, small_corpus
+
+
+def tau_invariant_violations(g: LabeledGraph, tau: Sequence[int]) -> list[str]:
+    """Edge-local sanity conditions any correct tau vector satisfies."""
+    bad = []
+    for u, ss in enumerate(g.succs):
+        for v in ss:
+            if g.label[u] < g.label[v] and tau[v] != 1:
+                bad.append(f"edge ({u},{v}): smaller-label pred but tau[v]={tau[v]}")
+            if g.label[u] == g.label[v] and tau[u] == 1 and tau[v] != 1:
+                bad.append(f"edge ({u},{v}): equal-label tau=1 pred but tau[v]={tau[v]}")
+    return bad
 
 
 def test_fig_graph_tau(fig_graph):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,14 +14,16 @@ from gsa import (
     format_graph,
     from_dfa,
     make_graph,
+    min_partition,
     parse_graph,
     transpose_alphabet,
     validate,
 )
 from gsa.classify import compute_tau
+from gsa.driver import _tau_for_kinds
 from gsa.generators import gen
-from gsa.graph import trim_for_kinds
-from gsa.merge import KIND_MIN
+from gsa.graph import InvalidGraphError, trim_for_kinds
+from gsa.merge import KIND_MAX, KIND_MIN
 from gsa.oracle import oracle_prefixes
 
 from conftest import FIG_LABELS, FIG_PREDS, small_corpus
@@ -203,3 +207,135 @@ def test_parse_accepts_comments():
 def test_roundtrip_random(n, sigma, seed):
     g = gen("random", n, min(sigma, n), seed=seed, density=0.5)
     assert parse_graph(format_graph(g)) == g
+
+
+def _sample_graph(kind, n, sigma, seed):
+    if kind == "debruijn":
+        return gen(kind, sigma ** max(1, n.bit_length() // sigma), sigma)
+    if kind == "chain-feeding-sink":
+        return gen(kind, max(n, 2), 2, seed=seed)
+    return gen(kind, n, min(sigma, n), seed=seed, density=0.5)
+
+
+def _assert_stored_order(g):
+    for v, ps in enumerate(g.preds):
+        assert list(ps) == sorted(ps, key=lambda u: (g.label[u], u)), v
+    for u, ss in enumerate(g.succs):
+        assert list(ss) == sorted(ss), u
+
+
+@given(
+    kind=st.sampled_from(["random", "cycle", "debruijn", "chain-feeding-sink"]),
+    n=st.integers(1, 14),
+    sigma=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+)
+def test_rows_in_label_order_and_roundtrip(kind, n, sigma, seed):
+    g = _sample_graph(kind, n, sigma, seed)
+    _assert_stored_order(g)
+    g2 = parse_graph(format_graph(g))
+    _assert_stored_order(g2)
+    assert g2 == g
+
+
+def test_make_graph_orders_rows_by_label_then_id():
+    # sources 3, 1, 2, 0 carry labels 0, 1, 0, 1
+    g = make_graph([1, 1, 0, 0, 2], [[4], [4], [4], [4], [3, 1, 2, 0]], sigma=3)
+    assert g.preds[4] == (2, 3, 0, 1)
+    assert g.succs[0] == g.succs[3] == (4,)
+
+
+def test_parse_sorts_rows_of_an_unordered_file():
+    text = "gsa-graph v1 3 2\n2\t0\t0\n0\t2\t1\n1\t0\t0\n0\t1\t0\n"
+    g = parse_graph(text)
+    assert g.preds == ((1, 2), (0,), (0,))
+    assert g.succs == ((1, 2), (0,), (0,))
+    assert g == make_graph([0, 0, 1], [[2, 1], [0], [0]], sigma=2)
+
+
+@given(
+    n=st.integers(2, 14),
+    sigma=st.integers(1, 5),
+    seed=st.integers(0, 10**6),
+    kind_seed=st.integers(0, 2**14 - 1),
+)
+def test_trim_keeps_prefix_or_suffix(n, sigma, seed, kind_seed):
+    g = gen("random", n, min(sigma, n), seed=seed, density=0.6)
+    kinds = [KIND_MAX if kind_seed >> v & 1 else KIND_MIN for v in range(g.n)]
+    tau = _tau_for_kinds(g, kinds)
+    gt = trim_for_kinds(g, tau, kinds)
+    assert validate(gt).ok
+    _assert_stored_order(gt)
+    for v, (ps, kept) in enumerate(zip(g.preds, gt.preds)):
+        if kinds[v] == KIND_MIN and tau[v] == 1:
+            assert kept == ps[: len(kept)]
+            assert all(g.label[u] <= g.label[v] for u in kept)
+            assert all(g.label[u] > g.label[v] for u in ps[len(kept) :])
+        elif kinds[v] == KIND_MAX and tau[v] == 3:
+            assert kept == ps[len(ps) - len(kept) :]
+            assert all(g.label[u] >= g.label[v] for u in kept)
+            assert all(g.label[u] < g.label[v] for u in ps[: len(ps) - len(kept)])
+        else:
+            assert kept == ps
+    if gt.preds == g.preds:
+        assert gt is g
+
+
+def test_trim_returns_input_when_nothing_dropped(fig_graph):
+    tau = compute_tau(fig_graph)
+    assert trim_for_kinds(fig_graph, tau, [KIND_MIN] * fig_graph.n) is fig_graph
+
+
+@given(
+    kind=st.sampled_from(["random", "cycle", "debruijn", "chain-feeding-sink"]),
+    n=st.integers(1, 14),
+    sigma=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+)
+def test_transpose_keeps_rows_label_sorted(kind, n, sigma, seed):
+    g = _sample_graph(kind, n, sigma, seed)
+    gt = transpose_alphabet(g)
+    for ps in gt.preds:
+        assert [gt.label[u] for u in ps] == sorted(gt.label[u] for u in ps)
+    assert transpose_alphabet(gt) == g
+
+
+def test_unsorted_row_fails_order_rule():
+    good = make_graph([0, 1, 1], [[0], [0, 2], [1]], sigma=2)
+    assert good.preds[1] == (0, 2)
+    bad = gsa.LabeledGraph(
+        n=3,
+        sigma=2,
+        label=good.label,
+        preds=((0,), (2, 0), (1,)),  # label 1 before label 0 on purpose
+        succs=good.succs,
+    )
+    rep = validate(bad)
+    assert [rule for rule, _, _ in rep.violations] == ["order"]
+    assert rep.violations[0][1] == "node 1"
+    assert validate(gsa.LabeledGraph(3, 2, good.label, good.preds, good.succs)).ok
+    with pytest.raises(InvalidGraphError):
+        min_partition(bad)
+
+
+def test_parse_and_validate_memory_follow_file_content():
+    # a comment line and a header claiming n close to the text length
+    header = "gsa-graph v1 199900 1\n"
+    text = "#" + "x" * (199_975 - len(header) - 2) + "\n" + header
+    assert len(text) == 199_975
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = validate(g)
+        validate_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.n == 199_900
+    assert parse_peak < 20 * 2**20
+    assert validate_peak < 10 * 2**20
+    assert [v for v in rep.violations if v[0] == "in-degree"] == [
+        ("in-degree", "node 0", "199900 of 199900 nodes have no predecessor")
+    ]

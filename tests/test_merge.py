@@ -190,4 +190,4 @@ def test_merge_rejects_impure_class_group(fig_graph):
 def test_partition_rank_consistency():
     p = Partition(((2, 3), (0,), (1,)))
     assert p.rank == {2: 0, 3: 0, 0: 1, 1: 2}
-    assert p.universe == {0, 1, 2, 3}
+    assert set(p.rank) == {0, 1, 2, 3}

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from gsa import make_graph, transpose_alphabet
 from gsa.oracle import (
     OracleStabilizationError,
-    count_graphs_by_edge_subsets,
     enumerate_graphs_for_n,
     enumerate_small_graphs,
     oracle_minmax,
@@ -119,6 +120,35 @@ def test_enumeration_yields_valid_unique_graphs(exhaustive_graphs):
         key = (g.label, g.preds, g.sigma)
         assert key not in seen
         seen.add(key)
+
+
+def count_graphs_by_edge_subsets(n: int, sigma_max: int) -> int:
+    """Independent recount of enumerate_graphs_for_n, for self-consistency.
+
+    Enumerates raw edge subsets of the complete digraph and filters by the
+    graph invariants directly. Exponential in n^2; keep n <= 3.
+    """
+    all_edges = [(u, v) for u in range(n) for v in range(n)]
+    count = 0
+    for s in range(1, min(n, sigma_max) + 1):
+        for labels in product(range(s), repeat=n):
+            if len(set(labels)) != s:
+                continue
+            for mask in range(1 << len(all_edges)):
+                indeg = [0] * n
+                out_chars: list[set[int]] = [set() for _ in range(n)]
+                ok = True
+                for i, (u, v) in enumerate(all_edges):
+                    if not mask >> i & 1:
+                        continue
+                    indeg[v] += 1
+                    if labels[v] in out_chars[u]:
+                        ok = False
+                        break
+                    out_chars[u].add(labels[v])
+                if ok and all(d > 0 for d in indeg):
+                    count += 1
+    return count
 
 
 def test_enumeration_count_agrees_with_edge_subsets():
