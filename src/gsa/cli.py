@@ -56,12 +56,22 @@ def _print_partition(p: Partition, as_json: bool) -> None:
 
 def _print_minmax(p: MinMaxPartition, as_json: bool) -> None:
     if as_json:
-        groups = [[[k.node, k.kind] for k in grp] for grp in p.groups]
-        print(json.dumps({"groups": groups}))
+        print(
+            json.dumps(
+                {
+                    "groups": [
+                        [[k.node, k.kind] for k in grp] for grp in p.groups
+                    ]
+                }
+            )
+        )
     else:
         for grp in p.groups:
-            tags = (("m:" if k.kind == "min" else "M:") + str(k.node) for k in grp)
-            print(" ".join(tags))
+            print(
+                " ".join(
+                    ("m:" if k.kind == "min" else "M:") + str(k.node) for k in grp
+                )
+            )
 
 
 def _build_parser() -> argparse.ArgumentParser:

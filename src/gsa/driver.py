@@ -193,9 +193,16 @@ def minmax_partition(
     groups = _engine(u2, kinds, stats)
     out = []
     for grp in groups:
-        # by node, min before max: copy 2 holds the max keys
-        grp = sorted(grp, key=lambda x: (x % n, x))
-        out.append(tuple(MinMaxKey(x % n, "min" if x < n else "max") for x in grp))
+        keys = tuple(
+            sorted(
+                (
+                    MinMaxKey(x % n, "min" if x < n else "max")
+                    for x in grp
+                ),
+                key=lambda k: (k.node, k.kind != "min"),
+            )
+        )
+        out.append(keys)
     return MinMaxPartition(tuple(out))
 
 

@@ -49,7 +49,7 @@ class LabeledGraph:
     succs_derived: bool = field(default=False, compare=False, repr=False)
 
     def edge_count(self) -> int:
-        return sum(map(len, self.preds))
+        return sum(len(p) for p in self.preds)
 
 
 @dataclass(frozen=True)
@@ -72,17 +72,21 @@ def make_graph(
     n = len(labels)
     if len(preds) != n:
         raise GraphFormatError(f"got {n} labels but {len(preds)} predecessor lists")
+    for v, ps in enumerate(preds):
+        if ps and (min(ps) < 0 or max(ps) >= n):
+            raise GraphFormatError(f"edge into {v} has source out of range for n={n}")
     ids = list(range(n))
-    succ: list[list[int]] = [[] for _ in ids]
-    for v in ids:
-        ps = preds[v]
-        if ps:
-            if min(ps) < 0 or max(ps) >= n:
-                raise GraphFormatError(f"edge into {v} has source out of range for n={n}")
-            for u in ps:
-                succ[u].append(v)
     rows = [[] if ps else () for ps in preds]
-    return _assemble(tuple(labels), succ, rows, ids, sigma)
+    return _assemble(tuple(labels), _successors(preds, ids), rows, ids, sigma)
+
+
+def _successors(preds: Sequence[Sequence[int]], ids: Sequence[int]) -> list[list[int]]:
+    """The successor rows of ``preds``, each in id order, storing v as ``ids[v]``."""
+    succ: list[list[int]] = [[] for _ in ids]
+    for v, ps in zip(ids, preds):
+        for u in ps:
+            succ[u].append(v)
+    return succ
 
 
 def _assemble(
@@ -223,10 +227,12 @@ def from_dfa(
             raise GraphFormatError(f"state {u} is nondeterministic on char {ci}")
         out_chars[u].add(ci)
         preds[v].append(u)
-    if None in labels:
-        v = labels.index(None)
-        raise GraphFormatError(f"state {v} has no incoming edge and is not initial")
-    return make_graph(labels, preds, sigma=len(chars) + 1), charmap
+    for v, lab in enumerate(labels):
+        if lab is None:
+            raise GraphFormatError(f"state {v} has no incoming edge and is not initial")
+    final = [int(x) for x in labels if x is not None]
+    assert len(final) == num_states
+    return make_graph(final, preds, sigma=len(chars) + 1), charmap
 
 
 def transpose_alphabet(g: LabeledGraph) -> LabeledGraph:
@@ -267,11 +273,8 @@ def trim_for_kinds(
     preds = tuple(rows)
     if preds == g.preds:  # identity-equal rows compare in O(1) each
         return g
-    succ: list[list[int]] = [[] for _ in rows]
-    for v, ps in enumerate(rows):
-        for u in ps:
-            succ[u].append(v)
-    return replace(g, preds=preds, succs=_frozen(succ), succs_derived=True)
+    succs = _frozen(_successors(rows, range(g.n)))
+    return replace(g, preds=preds, succs=succs, succs_derived=True)
 
 
 HEADER_PREFIX = "gsa-graph v1"
@@ -282,14 +285,12 @@ def parse_graph(text: str) -> LabeledGraph:
 
     Header ``gsa-graph v1 <n> <sigma>``, then one ``u<TAB>v<TAB>c`` line per
     edge where c must equal the label of v. Lines starting with ``#`` are
-    comments. Rejects inconsistent labels. Lines are read one at a time, and
-    per-node arrays are allocated only after the last edge line, so memory
-    follows the file's content, not the header's node count.
+    comments. Rejects inconsistent labels. Only ``\n``, ``\r\n`` and ``\r``
+    end a line. Lines are read one at a time, and per-node arrays are
+    allocated only after the last edge line; they cost about 85 bytes per
+    header node, whether or not the file holds edges for it.
     """
-    if any(sep in text for sep in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
-        lines = io.StringIO("\n".join(text.splitlines()))  # str.splitlines' breaks
-    else:
-        lines = io.StringIO(text, newline=None)
+    lines = io.StringIO(text, newline=None)
     first = next((ln for ln in lines if ln[0] not in "#\n"), "").rstrip("\n")
     if not first:
         raise GraphFormatError("empty graph file")

@@ -199,6 +199,16 @@ def test_parse_accepts_comments():
     assert g.n == 1 and g.preds == ((0,),)
 
 
+def test_parse_line_ends():
+    text = "# c\ngsa-graph v1 2 2\n0\t0\t0\n0\t1\t1\n"
+    g = parse_graph(text)
+    assert parse_graph(text.replace("\n", "\r\n")) == g
+    assert parse_graph(text.replace("\n", "\r")) == g
+    # no other character ends a line
+    with pytest.raises(GraphFormatError, match="bad edge line"):
+        parse_graph(text.replace("0\n0", "0\f0"))
+
+
 @given(
     n=st.integers(1, 10),
     sigma=st.integers(1, 3),
@@ -318,7 +328,7 @@ def test_unsorted_row_fails_order_rule():
         min_partition(bad)
 
 
-def test_parse_and_validate_memory_follow_file_content():
+def test_parse_and_validate_memory_on_a_file_without_edges():
     # a comment line and a header claiming n close to the text length
     header = "gsa-graph v1 199900 1\n"
     text = "#" + "x" * (199_975 - len(header) - 2) + "\n" + header
