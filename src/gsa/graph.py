@@ -285,7 +285,7 @@ def parse_graph(text: str) -> LabeledGraph:
 
     Header ``gsa-graph v1 <n> <sigma>``, then one ``u<TAB>v<TAB>c`` line per
     edge where c must equal the label of v. Lines starting with ``#`` are
-    comments. Rejects inconsistent labels. Only ``\n``, ``\r\n`` and ``\r``
+    comments. Rejects inconsistent labels. Only ``\\n``, ``\\r\\n`` and ``\\r``
     end a line. Lines are read one at a time, and per-node arrays are
     allocated only after the last edge line; they cost about 85 bytes per
     header node, whether or not the file holds edges for it.
