@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .classify import compute_tau
-from .graph import LabeledGraph, make_graph, require_valid, transpose_alphabet, trim_for_kinds
+# make_graph is no longer called here, but perfbench/tracer.py patches
+# gsa.driver.make_graph, so the name stays
+from .graph import LabeledGraph, make_graph, require_valid, transpose_alphabet, trim_for_kinds  # noqa: F401
 from .merge import (
     KIND_MAX,
     KIND_MIN,
@@ -176,10 +178,24 @@ def max_partition(g: LabeledGraph, stats: EngineStats | None = None) -> Partitio
 
 
 def _union_graph(g: LabeledGraph) -> LabeledGraph:
-    """Two disjoint copies of g in one id space (copy 2 offset by n)."""
+    """Two disjoint copies of g in one id space (copy 2 offset by n).
+
+    Shifting every id by n keeps the order of a row, and both copies share
+    the labels, so copy 2's rows are g's rows with ids shifted: no rebuild
+    through make_graph is needed. Each shifted id is one int object of a
+    shared list. The result equals make_graph's union when g's rows break
+    label ties by id, as every graph from make_graph or parse_graph does.
+    """
     n = g.n
-    preds = list(g.preds) + [[p + n for p in ps] for ps in g.preds]
-    return make_graph(g.label * 2, preds, sigma=g.sigma)
+    shift = list(range(n, 2 * n))
+    return LabeledGraph(
+        n=2 * n,
+        sigma=g.sigma,
+        label=g.label * 2,
+        preds=g.preds + tuple(tuple([shift[p] for p in ps]) for ps in g.preds),
+        succs=g.succs + tuple(tuple([shift[v] for v in vs]) for vs in g.succs),
+        succs_derived=True,
+    )
 
 
 def minmax_partition(

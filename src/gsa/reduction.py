@@ -2,8 +2,12 @@
 
 Each exploration pins down a prefix gamma of the extremal string of one node
 by expanding frontier sets backward: the next frontier keeps only the
-predecessors with the best label, and among those the best tau class. The
-recursion direction decides when the walk stops:
+predecessors with the best label, and among those the best tau class.
+Predecessor rows are in label order, so one pass per step finds both, and it
+leaves a row at the first label worse than the best seen so far; the
+``edges_scanned`` count of a record is the number of edges read, not the
+sum of the frontier's row lengths. The recursion direction decides when the
+walk stops:
 
 * type-3 direction: intermediate frontiers have tau=1, stop at tau >= 2;
 * complementary (type-1) direction: intermediate frontiers have tau=3, stop
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import inf
 
 from .graph import LabeledGraph, make_graph
 
@@ -47,7 +52,6 @@ class ExplorationScratch:
 
     def __init__(self, n: int) -> None:
         self.visited = [0] * n
-        self.seen = [0] * n
         self.tick = 0
 
     def next_tick(self) -> int:
@@ -72,6 +76,15 @@ def explore(
     frontier are excluded from later ones, which bounds total work; in the
     complementary sense the frontiers may legitimately revisit nodes and no
     subtraction happens.
+
+    Each step is one pass over the frontier's rows that keeps the best
+    (label, tau) seen so far and its nodes. Rows are in label order, so the
+    min sense reads a row from the front and the max sense from the back,
+    and either leaves the row at the first label worse than the best so far.
+    ``edges_scanned`` counts the edges read, not whole rows. A max-sense
+    frontier lists its nodes in reverse encounter order. The nodes of a
+    frontier share one label, so in a deterministic graph no node precedes
+    two of them and a step needs no duplicate check.
     """
     if scratch is None:
         scratch = ExplorationScratch(g.n)
@@ -79,39 +92,41 @@ def explore(
     label = g.label
     preds = g.preds
     visited = scratch.visited
-    seen = scratch.seen
     vt = scratch.next_tick()
+    # x ^ -1 is ~x, which reverses the order of ints, so the max sense
+    # compares ~label and ~tau with the min sense's "less is better" tests
+    flip = -1 if maximize else 0
+    row_order = reversed if maximize else iter
 
     frontier = [u]
     gamma = [label[u]]
     edges = 0
     for _step in range(g.n + 1):
-        st = scratch.next_tick()
-        pool: list[int] = []
+        best_label = best_tau = inf
+        nxt: list[int] = []
         for x in frontier:
-            for p in preds[x]:
+            for p in row_order(preds[x]):
                 edges += 1
-                if visited[p] == vt or seen[p] == st:
+                lp = label[p] ^ flip
+                if lp > best_label:
+                    break
+                if visited[p] == vt:
                     continue
-                seen[p] = st
-                pool.append(p)
-        if not pool:
+                tp = tau[p] ^ flip
+                if lp < best_label or tp < best_tau:
+                    best_label, best_tau, nxt = lp, tp, [p]
+                elif tp == best_tau:
+                    nxt.append(p)
+        if not nxt:
             raise ExplorationError(f"empty frontier while exploring node {u}")
-        if maximize:
-            best_label = max(label[p] for p in pool)
-            sel = [p for p in pool if label[p] == best_label]
-            best_tau = max(tau[p] for p in sel)
-        else:
-            best_label = min(label[p] for p in pool)
-            sel = [p for p in pool if label[p] == best_label]
-            best_tau = min(tau[p] for p in sel)
-        frontier = [p for p in sel if tau[p] == best_tau]
-        gamma.append(best_label)
-        if (best_tau >= 2) if direction == 3 else (best_tau <= 2):
+        frontier = nxt
+        gamma.append(label[nxt[0]])
+        t = tau[nxt[0]]
+        if (t >= 2) if direction == 3 else (t <= 2):
             return ExplorationRecord(
                 node=u,
                 gamma=tuple(gamma),
-                t=best_tau,
+                t=t,
                 frontier=tuple(frontier),
                 edges_scanned=edges,
             )

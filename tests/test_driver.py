@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from gsa import (
     EngineStats,
     MinMaxKey,
+    format_graph,
     make_graph,
     max_partition,
     min_partition,
     minmax_partition,
+    parse_graph,
     transpose_alphabet,
 )
-from gsa.driver import reduction_step
-from gsa.generators import gen
+from gsa.driver import _union_graph, reduction_step
+from gsa.generators import KINDS, gen
 from gsa.oracle import oracle_minmax, oracle_partition
 
 from conftest import FIG_MAX_GROUPS, FIG_MIN_GROUPS, FIG_MINMAX, random_corpus
@@ -175,3 +177,36 @@ def test_structured_generators_oracle(kind, k, sigma):
     g = gen(kind, n, sigma)
     assert min_partition(g) == oracle_partition(g, "min")
     assert max_partition(g) == oracle_partition(g, "max")
+
+
+def _union_by_make_graph(g):
+    n = g.n
+    preds = list(g.preds) + [[p + n for p in ps] for ps in g.preds]
+    return make_graph(g.label * 2, preds, sigma=g.sigma)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(KINDS),
+    k=st.integers(1, 5),
+    sigma=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+)
+def test_union_graph_equals_make_graph_union(kind, k, sigma, seed):
+    if kind == "debruijn":
+        sigma = max(sigma, 2)
+        n = sigma ** min(k, 4)
+    elif kind == "chain-feeding-sink":
+        sigma, n = 2, 4 * k
+    else:
+        n = max(sigma, 5 * k)
+    g = gen(kind, n, sigma, seed=seed, density=0.4)
+    for h in (g, parse_graph(format_graph(g))):
+        u2 = _union_graph(h)
+        assert u2 == _union_by_make_graph(h)
+        assert u2.succs_derived
+
+
+def test_union_graph_equals_make_graph_union_exhaustively(exhaustive_graphs):
+    for g in exhaustive_graphs:
+        assert _union_graph(g) == _union_by_make_graph(g)

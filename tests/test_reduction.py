@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsa import make_graph, validate
 from gsa.classify import compute_tau
+from gsa.driver import _tau_for_kinds, _union_graph
+from gsa.generators import gen
 from gsa.graph import trim_for_kinds
-from gsa.merge import KIND_MIN
+from gsa.merge import KIND_MAX, KIND_MIN
 from gsa.oracle import oracle_partition, oracle_prefixes
 from gsa.reduction import (
     ExplorationError,
@@ -16,6 +20,130 @@ from gsa.reduction import (
     build_reduced_graph,
     explore,
 )
+
+
+class _FourPassScratch(ExplorationScratch):
+    """The former scratch, which also stamps the nodes pooled in one step."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.seen = [0] * n
+
+
+def _explore_four_pass(g, tau, u, direction, maximize=False, scratch=None):
+    """The former explore, kept as the reference for the one-pass rewrite.
+
+    Each step pools the unvisited predecessors of the whole frontier, then
+    takes the best label, filters by it, takes the best tau and filters
+    again.
+    """
+    if scratch is None:
+        scratch = _FourPassScratch(g.n)
+    subtract = (direction == 3) != maximize
+    label = g.label
+    preds = g.preds
+    visited = scratch.visited
+    seen = scratch.seen
+    vt = scratch.next_tick()
+
+    frontier = [u]
+    gamma = [label[u]]
+    edges = 0
+    for _step in range(g.n + 1):
+        st = scratch.next_tick()
+        pool = []
+        for x in frontier:
+            for p in preds[x]:
+                edges += 1
+                if visited[p] == vt or seen[p] == st:
+                    continue
+                seen[p] = st
+                pool.append(p)
+        if not pool:
+            raise ExplorationError(f"empty frontier while exploring node {u}")
+        best = max if maximize else min
+        best_label = best(label[p] for p in pool)
+        sel = [p for p in pool if label[p] == best_label]
+        best_tau = best(tau[p] for p in sel)
+        frontier = [p for p in sel if tau[p] == best_tau]
+        gamma.append(best_label)
+        if (best_tau >= 2) if direction == 3 else (best_tau <= 2):
+            return ExplorationRecord(u, tuple(gamma), best_tau, tuple(frontier), edges)
+        if subtract:
+            for p in frontier:
+                visited[p] = vt
+    raise ExplorationError(f"exploration of node {u} did not stop within n+1 steps")
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs), None
+    except ExplorationError as e:
+        return None, str(e)
+
+
+def _assert_explore_matches_four_pass(g):
+    """Every node of g, in both directions, for min, max and union kinds.
+
+    Each (kinds, direction) shares one scratch per implementation across its
+    explorations, as one level of the engine does.
+    """
+    n = g.n
+    cases = [(g, [KIND_MIN] * n), (g, [KIND_MAX] * n),
+             (_union_graph(g), [KIND_MIN] * n + [KIND_MAX] * n)]
+    for h, kinds in cases:
+        tau = _tau_for_kinds(h, kinds)
+        gt = trim_for_kinds(h, tau, kinds)
+        for direction in (3, 1):
+            new_sc, ref_sc = ExplorationScratch(h.n), _FourPassScratch(h.n)
+            for u in range(h.n):
+                mx = kinds[u] == KIND_MAX
+                r, err = _outcome(explore, gt, tau, u, direction, mx, new_sc)
+                ref, ref_err = _outcome(_explore_four_pass, gt, tau, u, direction, mx, ref_sc)
+                where = (g.label, g.preds, kinds[u], direction, u)
+                assert err == ref_err, where
+                if ref is None:
+                    continue
+                assert (r.node, r.gamma, r.t) == (ref.node, ref.gamma, ref.t), where
+                assert sorted(r.frontier) == sorted(ref.frontier), where
+                assert len(set(r.frontier)) == len(r.frontier), where
+                assert r.edges_scanned <= ref.edges_scanned, where
+
+
+def test_explore_matches_four_pass_exhaustively(exhaustive_graphs):
+    for g in exhaustive_graphs:
+        _assert_explore_matches_four_pass(g)
+
+
+@st.composite
+def _generated(draw):
+    kind = draw(st.sampled_from(["random", "cycle", "debruijn", "chain-feeding-sink"]))
+    if kind == "debruijn":
+        sigma = draw(st.integers(2, 3))
+        return gen(kind, sigma ** draw(st.integers(1, 4 if sigma == 2 else 3)), sigma)
+    if kind == "chain-feeding-sink":
+        return gen(kind, draw(st.integers(2, 20)), 2)
+    n = draw(st.integers(1, 30))
+    sigma = draw(st.integers(1, min(n, 6)))
+    return gen(kind, n, sigma, seed=draw(st.integers(0, 10**6)), density=0.4)
+
+
+@settings(deadline=None, max_examples=80)
+@given(g=_generated())
+def test_explore_matches_four_pass_on_generators(g):
+    _assert_explore_matches_four_pass(g)
+
+
+def test_max_frontier_is_reverse_encounter_order():
+    # node 2's predecessors 0 and 1 share the greatest label and tau; the
+    # max sense reads the row from the back
+    g = make_graph([1, 1, 0], [[0], [1], [0, 1]], sigma=2)
+    tau = compute_tau(g)
+    assert tau == _tau_for_kinds(g, [KIND_MAX] * 3) == [2, 2, 3]
+    r = explore(g, tau, 2, direction=1, maximize=True)
+    assert r.gamma == (0, 1) and r.t == 2
+    assert r.frontier == (1, 0)
+    assert explore(g, tau, 2, direction=3).frontier == (0, 1)
 
 
 def test_fig_type3_exploration(fig_graph):
