@@ -11,7 +11,7 @@ are a derived index.
 from __future__ import annotations
 
 import io
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field, replace
@@ -246,30 +246,23 @@ def transpose_alphabet(g: LabeledGraph) -> LabeledGraph:
     )
 
 
-def trim_for_kinds(
-    g: LabeledGraph, tau: Sequence[int], kinds: Sequence[int]
-) -> LabeledGraph:
-    """Remove the edges that can never carry the extremal string of their target.
+def trim_for_kinds(g: LabeledGraph, tau: Sequence[int]) -> LabeledGraph:
+    """Remove the edges that can never carry the minimum string of their target.
 
-    ``kinds[v] = 0`` means node v is ordered by its minimum: when tau[v] = 1,
-    drop every edge (u,v) with label[u] > label[v]. ``kinds[v] = 1`` means it
-    is ordered by its maximum: when tau[v] = 3, drop every edge (u,v) with
-    label[u] < label[v], the mirrored rule. The relevant extremal string of
-    every node, and therefore tau, is unchanged, and the result still
-    satisfies all graph invariants; in particular all in-degrees stay >= 1.
-    Rows are in label order, so each trimmed row is a prefix (min) or a
-    suffix (max) of the input row. Returns ``g`` itself when nothing is
-    dropped.
+    When tau[v] = 1, drop every edge (u,v) with label[u] > label[v]. The
+    minimum string of every node, and therefore tau, is unchanged, and the
+    result still satisfies all graph invariants; in particular all
+    in-degrees stay >= 1. Rows are in label order, so each trimmed row is a
+    prefix of the input row. Returns ``g`` itself when nothing is dropped.
+    The name is kept because perfbench/tracer.py patches it.
     """
     label = g.label
     key = label.__getitem__
     rows = list(g.preds)
     for v, ps in enumerate(rows):
         lv = label[v]
-        if tau[v] == 1 and kinds[v] == 0 and label[ps[-1]] > lv:
+        if tau[v] == 1 and label[ps[-1]] > lv:
             rows[v] = ps[: bisect_right(ps, lv, key=key)]
-        elif tau[v] == 3 and kinds[v] == 1 and label[ps[0]] < lv:
-            rows[v] = ps[bisect_left(ps, lv, key=key) :]
     preds = tuple(rows)
     if preds == g.preds:  # identity-equal rows compare in O(1) each
         return g

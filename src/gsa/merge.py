@@ -5,18 +5,14 @@ The class that was recursed on and the tau=2 seeds are prefilled; groups are
 then processed in string order and each processed group emits successor
 groups into the remaining tau class, which is built incrementally.
 
-Two mechanisms place nodes of the incrementally built class:
+The direction of the recursion picks how that class is placed:
 
-* marking, for nodes ordered in the same sense as the schedule sweep (a node
-  is placed once, the first time it is reached, and never moves);
-* run-length heights (psi) with tombstones, for nodes ordered in the other
-  sense (a node may be re-placed by a later, better group; stale placements
-  are skipped when their group is processed).
-
-The forward variant (direction 3, ascending sweep) and the backward variant
-(direction 1, descending sweep whose processing order is reversed at the end)
-are the same engine; the joint min/max computation runs both senses through
-one schedule by tagging every node with its comparison kind.
+* direction 3 (ascending sweep, tau=1 class built) places by marking: a node
+  is placed once, the first time it is reached, and never moves;
+* direction 1 (descending sweep whose processing order is reversed at the
+  end, tau=3 class built) places by run-length heights (psi) with
+  tombstones: a node may be re-placed by a later, better group, and stale
+  placements are skipped when their group is processed.
 """
 
 from __future__ import annotations
@@ -25,10 +21,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .graph import LabeledGraph
-
-KIND_MIN = 0
-KIND_MAX = 1
-
 
 class MergeError(RuntimeError):
     """A node was never placed, or placed twice: inputs were inconsistent."""
@@ -58,8 +50,8 @@ def _run_heights(g: LabeledGraph, active: Sequence[bool]) -> list[int]:
     """Length of the leading label-run of the string of every active node.
 
     psi[u] = 1 + max psi over active equal-label predecessors, or 1 if there
-    are none. The active nodes are the run-length-placed fill class (for
-    example the tau=3 nodes in the min sense), whose equal-label chains are
+    are none. The active nodes are the run-length-placed fill class (the
+    tau=3 nodes of a direction-1 level), whose equal-label chains are
     acyclic, so a memoized depth-first pass suffices. Entries for other nodes
     are 0.
     """
@@ -116,7 +108,6 @@ class _Group:
 def merge_partitions(
     g: LabeledGraph,
     tau: Sequence[int],
-    kinds: Sequence[int],
     class_groups: Sequence[Sequence[int]],
     direction: int,
     psi: Sequence[int] | None = None,
@@ -124,17 +115,14 @@ def merge_partitions(
     """Run the bucket schedule; return groups of all nodes in string order.
 
     ``class_groups`` is the true ordered partition of the tau=direction nodes
-    (ascending). ``psi`` must cover the nodes placed by the run-length
-    mechanism: with direction 3 these are the max-kind tau=1 nodes, with
-    direction 1 the min-kind tau=3 nodes.
+    (ascending). With direction 1, ``psi`` must give the run heights of the
+    tau=3 nodes, which are placed by the run-length mechanism.
     """
     n = g.n
     sigma = g.sigma
     label = g.label
     succs = g.succs
     fill = 1 if direction == 3 else 3
-    # kind whose nodes are placed once by marking during this sweep
-    marked_kind = KIND_MIN if direction == 3 else KIND_MAX
     ascending = direction == 3
 
     buckets: list[list[list[_Group]]] = [
@@ -165,8 +153,7 @@ def merge_partitions(
 
     placed_gid = [-1] * n  # current group of each fill node
     out: list[list[int]] = []
-    need_psi = any(kinds[u] != marked_kind for u in range(n) if tau[u] == fill)
-    if need_psi and psi is None:
+    if not ascending and psi is None:
         raise MergeError("psi heights required but not provided")
 
     char_order = range(sigma) if ascending else range(sigma - 1, -1, -1)
@@ -188,18 +175,15 @@ def merge_partitions(
                 if tau[v] != fill or v in in_cand:
                     continue
                 c_k = label[v]
-                if kinds[v] == marked_kind:
+                if ascending:
                     if placed_gid[v] >= 0:
                         continue
                 else:
                     # run-length placement: only toward the already-swept side,
                     # and an equal character only from within the fill class
-                    if (c_k < c_i) if ascending else (c_k > c_i):
+                    if c_k > c_i or (c_k == c_i and t != fill):
                         continue
-                    if c_k == c_i and t != fill:
-                        continue
-                    req = grp.psi + 1 if c_k == c_i else 1
-                    if psi is None or psi[v] != req:
+                    if psi[v] != (grp.psi + 1 if c_k == c_i else 1):
                         continue
                 in_cand.add(v)
                 cand.setdefault(c_k, []).append(v)

@@ -1,10 +1,10 @@
 """Per-node backward exploration and construction of the reduced graph.
 
-Each exploration pins down a prefix gamma of the extremal string of one node
+Each exploration pins down a prefix gamma of the minimum string of one node
 by expanding frontier sets backward: the next frontier keeps only the
-predecessors with the best label, and among those the best tau class.
+predecessors with the least label, and among those the least tau class.
 Predecessor rows are in label order, so one pass per step finds both, and it
-leaves a row at the first label worse than the best seen so far; the
+leaves a row at the first label greater than the least seen so far; the
 ``edges_scanned`` count of a record is the number of edges read, not the
 sum of the frontier's row lengths. The recursion direction decides when the
 walk stops:
@@ -64,39 +64,30 @@ def explore(
     tau: Sequence[int],
     u: int,
     direction: int,
-    maximize: bool = False,
     scratch: ExplorationScratch | None = None,
 ) -> ExplorationRecord:
     """Expand frontiers backward from u until the stopping tau class.
 
     ``direction`` is 3 or 1 (the tau class being recursed on; it fixes the
-    stop condition). ``maximize`` flips the comparison sense for nodes ordered
-    by their maximum string. In the standard sense (direction 3 minimizing,
-    or direction 1 maximizing) nodes that already appeared in an earlier
-    frontier are excluded from later ones, which bounds total work; in the
-    complementary sense the frontiers may legitimately revisit nodes and no
+    stop condition). With direction 3, nodes that already appeared in an
+    earlier frontier are excluded from later ones, which bounds total work;
+    with direction 1 the frontiers may legitimately revisit nodes and no
     subtraction happens.
 
-    Each step is one pass over the frontier's rows that keeps the best
-    (label, tau) seen so far and its nodes. Rows are in label order, so the
-    min sense reads a row from the front and the max sense from the back,
-    and either leaves the row at the first label worse than the best so far.
-    ``edges_scanned`` counts the edges read, not whole rows. A max-sense
-    frontier lists its nodes in reverse encounter order. The nodes of a
-    frontier share one label, so in a deterministic graph no node precedes
-    two of them and a step needs no duplicate check.
+    Each step is one pass over the frontier's rows that keeps the least
+    (label, tau) seen so far and its nodes. Rows are in label order, so a
+    row is read from the front and left at the first label greater than
+    the least so far. ``edges_scanned`` counts the edges read, not whole
+    rows. The nodes of a frontier share one label, so in a deterministic
+    graph no node precedes two of them and a step needs no duplicate check.
     """
     if scratch is None:
         scratch = ExplorationScratch(g.n)
-    subtract = (direction == 3) != maximize
+    subtract = direction == 3
     label = g.label
     preds = g.preds
     visited = scratch.visited
     vt = scratch.next_tick()
-    # x ^ -1 is ~x, which reverses the order of ints, so the max sense
-    # compares ~label and ~tau with the min sense's "less is better" tests
-    flip = -1 if maximize else 0
-    row_order = reversed if maximize else iter
 
     frontier = [u]
     gamma = [label[u]]
@@ -105,14 +96,14 @@ def explore(
         best_label = best_tau = inf
         nxt: list[int] = []
         for x in frontier:
-            for p in row_order(preds[x]):
+            for p in preds[x]:
                 edges += 1
-                lp = label[p] ^ flip
+                lp = label[p]
                 if lp > best_label:
                     break
                 if visited[p] == vt:
                     continue
-                tp = tau[p] ^ flip
+                tp = tau[p]
                 if lp < best_label or tp < best_tau:
                     best_label, best_tau, nxt = lp, tp, [p]
                 elif tp == best_tau:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from gsa import LabeledGraph, make_graph
-from gsa.generators import gen
+from gsa.generators import KINDS, gen
 from gsa.oracle import enumerate_small_graphs
 
 # 7 nodes labeled #,a,b,c,c,a,c as 0,1,2,3,3,1,3; node 0 is the #-looped
@@ -61,3 +62,17 @@ def exhaustive_graphs() -> list[LabeledGraph]:
 @pytest.fixture(scope="session")
 def mixed_corpus() -> list[LabeledGraph]:
     return small_corpus() + random_corpus()
+
+
+@st.composite
+def generated_graphs(draw):
+    """A hypothesis strategy over small graphs of the four ``gen`` kinds."""
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "debruijn":
+        sigma = draw(st.integers(2, 3))
+        return gen(kind, sigma ** draw(st.integers(1, 4 if sigma == 2 else 3)), sigma)
+    if kind == "chain-feeding-sink":
+        return gen(kind, draw(st.integers(2, 20)), 2)
+    n = draw(st.integers(1, 30))
+    sigma = draw(st.integers(1, min(n, 6)))
+    return gen(kind, n, sigma, seed=draw(st.integers(0, 10**6)), density=0.4)

@@ -9,19 +9,23 @@ from hypothesis import strategies as st
 from gsa import (
     EngineStats,
     MinMaxKey,
-    format_graph,
     make_graph,
     max_partition,
     min_partition,
     minmax_partition,
-    parse_graph,
     transpose_alphabet,
 )
-from gsa.driver import _union_graph, reduction_step
-from gsa.generators import KINDS, gen
-from gsa.oracle import oracle_minmax, oracle_partition
+from gsa.driver import _joint_ranks, _union_graph, reduction_step
+from gsa.generators import gen
+from gsa.oracle import oracle_minmax, oracle_partition, oracle_prefixes
 
-from conftest import FIG_MAX_GROUPS, FIG_MIN_GROUPS, FIG_MINMAX, random_corpus
+from conftest import (
+    FIG_MAX_GROUPS,
+    FIG_MIN_GROUPS,
+    FIG_MINMAX,
+    generated_graphs,
+    random_corpus,
+)
 
 
 def _keys(groups):
@@ -101,6 +105,8 @@ def test_minmax_restrictions_match_single_kind(mixed_corpus):
 
 
 def test_duality_max_is_reversed_transposed_min(mixed_corpus):
+    """Criterion 6. max_partition is defined this way, so the identity holds
+    by construction; the correctness of max rests on the oracle tests."""
     for g in mixed_corpus:
         fwd = max_partition(g).groups
         rev = tuple(reversed(min_partition(transpose_alphabet(g)).groups))
@@ -179,34 +185,100 @@ def test_structured_generators_oracle(kind, k, sigma):
     assert max_partition(g) == oracle_partition(g, "max")
 
 
-def _union_by_make_graph(g):
+def _assert_kept_edges_spell_strings(g):
     n = g.n
-    preds = list(g.preds) + [[p + n for p in ps] for ps in g.preds]
-    return make_graph(g.label * 2, preds, sigma=g.sigma)
+    label, link = _union_graph(g, min_partition(g).groups, max_partition(g).groups)
+    L = 2 * n + 1
+    want = oracle_prefixes(g, "min", L) + oracle_prefixes(g, "max", L)
+    for x in range(2 * n):
+        walk, y = [], x
+        for _ in range(L):
+            walk.append(label[y])
+            y = link[y]
+        assert tuple(walk) == want[x], (g.label, g.preds, x)
+        assert (link[x] < n) == (x < n)
+
+
+def test_union_graph_kept_edges_spell_strings_exhaustively(exhaustive_graphs):
+    for g in exhaustive_graphs:
+        _assert_kept_edges_spell_strings(g)
 
 
 @settings(deadline=None, max_examples=60)
-@given(
-    kind=st.sampled_from(KINDS),
-    k=st.integers(1, 5),
-    sigma=st.integers(1, 4),
-    seed=st.integers(0, 10**6),
+@given(g=generated_graphs())
+def test_union_graph_kept_edges_spell_strings(g):
+    _assert_kept_edges_spell_strings(g)
+
+
+@st.composite
+def _pointer_graphs(draw):
+    """Labels and one out-pointer per key: one or two cycles of periodic
+    labels with a few flipped, and trees hanging off them, so strings share
+    long prefixes."""
+    m = draw(st.integers(1, 48))
+    period = draw(st.integers(1, 4))
+    pattern = draw(st.lists(st.integers(0, 2), min_size=period, max_size=period))
+    label = [pattern[x % period] for x in range(m)]
+    for x in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        label[x] = (label[x] + 1) % 3
+    used = sorted(set(label))  # labels of a valid graph use every character
+    label = [used.index(c) for c in label]
+    a = draw(st.integers(1, m))
+    b = draw(st.integers(a, m))
+    link = [(x + 1) % a for x in range(a)]
+    link += [a + (x - a + 1) % (b - a) for x in range(a, b)]
+    link += [draw(st.integers(0, x - 1)) for x in range(b, m)]
+    return label, link
+
+
+@settings(deadline=None, max_examples=200)
+@given(pg=_pointer_graphs())
+def test_joint_ranks_order_first_2m_characters(pg):
+    label, link = pg
+    m = len(label)
+    spelled = []
+    for x in range(m):
+        walk = []
+        for _ in range(2 * m):
+            walk.append(label[x])
+            x = link[x]
+        spelled.append(tuple(walk))
+    dense = {w: i for i, w in enumerate(sorted(set(spelled)))}
+    assert _joint_ranks(tuple(label), link) == [dense[w] for w in spelled]
+
+
+@pytest.mark.parametrize(
+    "kind, n, sigma",
+    [("cycle", 1000, 3), ("chain-feeding-sink", 1000, 2), ("debruijn", 2**10, 2),
+     ("random", 2000, 3)],
 )
-def test_union_graph_equals_make_graph_union(kind, k, sigma, seed):
-    if kind == "debruijn":
-        sigma = max(sigma, 2)
-        n = sigma ** min(k, 4)
-    elif kind == "chain-feeding-sink":
-        sigma, n = 2, 4 * k
-    else:
-        n = max(sigma, 5 * k)
-    g = gen(kind, n, sigma, seed=seed, density=0.4)
-    for h in (g, parse_graph(format_graph(g))):
-        u2 = _union_graph(h)
-        assert u2 == _union_by_make_graph(h)
-        assert u2.succs_derived
+def test_minmax_order_by_walks_at_large_n(kind, n, sigma):
+    """The joint order against 2n-character walks, without the oracle.
 
+    A key's string follows the predecessor of least min rank (min key) or of
+    greatest max rank (max key). Strings that agree on 2n characters are
+    equal, so each group must agree on 2n characters and adjacent groups must
+    differ within 2n characters, the later group reading the larger one.
+    """
+    g = gen(kind, n, sigma, seed=3, density=0.1)
+    rank = {"min": min_partition(g).rank, "max": max_partition(g).rank}
+    pick = {"min": min, "max": max}
+    step = {
+        (u, sense): (pick[sense](ps, key=rank[sense].__getitem__), sense)
+        for u, ps in enumerate(g.preds) for sense in ("min", "max")
+    }
 
-def test_union_graph_equals_make_graph_union_exhaustively(exhaustive_graphs):
-    for g in exhaustive_graphs:
-        assert _union_graph(g) == _union_by_make_graph(g)
+    def compare(x, y):
+        for _ in range(2 * n):
+            if g.label[x[0]] != g.label[y[0]]:
+                return g.label[x[0]] - g.label[y[0]]
+            x, y = step[x], step[y]
+        return 0
+
+    mm = minmax_partition(g)
+    keys = [[(k.node, k.kind) for k in grp] for grp in mm.groups]
+    assert sum(map(len, keys)) == 2 * n
+    for grp in keys:
+        assert all(compare(grp[0], y) == 0 for y in grp[1:])
+    for a, b in zip(keys, keys[1:]):
+        assert compare(a[0], b[0]) < 0

@@ -20,10 +20,8 @@ from gsa import (
     validate,
 )
 from gsa.classify import compute_tau
-from gsa.driver import _tau_for_kinds
 from gsa.generators import gen
 from gsa.graph import InvalidGraphError, trim_for_kinds
-from gsa.merge import KIND_MAX, KIND_MIN
 from gsa.oracle import oracle_prefixes
 
 from conftest import FIG_LABELS, FIG_PREDS, small_corpus
@@ -133,7 +131,7 @@ def test_transpose_involution(n, sigma, seed):
 
 def test_trim_fig_graph_unchanged(fig_graph):
     tau = compute_tau(fig_graph)
-    assert trim_for_kinds(fig_graph, tau, [KIND_MIN] * fig_graph.n) == fig_graph
+    assert trim_for_kinds(fig_graph, tau) == fig_graph
 
 
 def test_trim_removes_witness_edge():
@@ -145,7 +143,7 @@ def test_trim_removes_witness_edge():
     assert validate(g).ok
     tau = compute_tau(g)
     assert tau[1] == 1
-    gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
+    gt = trim_for_kinds(g, tau)
     assert 2 not in gt.preds[1]
     L = g.n + 2
     assert oracle_prefixes(gt, "min", L) == oracle_prefixes(g, "min", L)
@@ -155,13 +153,13 @@ def test_trim_all_tau2_unchanged():
     g = make_graph([0, 0, 0], [[2], [0], [1]], sigma=1)
     tau = compute_tau(g)
     assert tau == [2, 2, 2]
-    assert trim_for_kinds(g, tau, [KIND_MIN] * g.n) == g
+    assert trim_for_kinds(g, tau) == g
 
 
 def test_trim_preserves_minima_exhaustively():
     for g in small_corpus(3, 2):
         tau = compute_tau(g)
-        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
+        gt = trim_for_kinds(g, tau)
         assert validate(gt).ok
         L = g.n + 2
         assert oracle_prefixes(gt, "min", L) == oracle_prefixes(g, "min", L)
@@ -267,33 +265,32 @@ def test_parse_sorts_rows_of_an_unordered_file():
     n=st.integers(2, 14),
     sigma=st.integers(1, 5),
     seed=st.integers(0, 10**6),
-    kind_seed=st.integers(0, 2**14 - 1),
 )
-def test_trim_keeps_prefix_or_suffix(n, sigma, seed, kind_seed):
+def test_trim_keeps_prefix_or_suffix(n, sigma, seed):
+    # trimming g keeps a prefix of each tau=1 row; trimming the transposed
+    # graph keeps a prefix of its reversed rows, which is a suffix of g's
     g = gen("random", n, min(sigma, n), seed=seed, density=0.6)
-    kinds = [KIND_MAX if kind_seed >> v & 1 else KIND_MIN for v in range(g.n)]
-    tau = _tau_for_kinds(g, kinds)
-    gt = trim_for_kinds(g, tau, kinds)
-    assert validate(gt).ok
-    _assert_stored_order(gt)
-    for v, (ps, kept) in enumerate(zip(g.preds, gt.preds)):
-        if kinds[v] == KIND_MIN and tau[v] == 1:
-            assert kept == ps[: len(kept)]
-            assert all(g.label[u] <= g.label[v] for u in kept)
-            assert all(g.label[u] > g.label[v] for u in ps[len(kept) :])
-        elif kinds[v] == KIND_MAX and tau[v] == 3:
-            assert kept == ps[len(ps) - len(kept) :]
-            assert all(g.label[u] >= g.label[v] for u in kept)
-            assert all(g.label[u] < g.label[v] for u in ps[: len(ps) - len(kept)])
-        else:
-            assert kept == ps
-    if gt.preds == g.preds:
-        assert gt is g
+    for h in (g, transpose_alphabet(g)):
+        tau = compute_tau(h)
+        gt = trim_for_kinds(h, tau)
+        assert validate(gt).ok
+        if h is g:
+            # a transposed row breaks label ties by descending id
+            _assert_stored_order(gt)
+        for v, (ps, kept) in enumerate(zip(h.preds, gt.preds)):
+            if tau[v] == 1:
+                assert kept == ps[: len(kept)]
+                assert all(h.label[u] <= h.label[v] for u in kept)
+                assert all(h.label[u] > h.label[v] for u in ps[len(kept) :])
+            else:
+                assert kept == ps
+        if gt.preds == h.preds:
+            assert gt is h
 
 
 def test_trim_returns_input_when_nothing_dropped(fig_graph):
     tau = compute_tau(fig_graph)
-    assert trim_for_kinds(fig_graph, tau, [KIND_MIN] * fig_graph.n) is fig_graph
+    assert trim_for_kinds(fig_graph, tau) is fig_graph
 
 
 @given(

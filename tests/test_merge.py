@@ -8,7 +8,6 @@ from gsa import make_graph, min_partition
 from gsa.classify import compute_tau
 from gsa.generators import gen
 from gsa.merge import (
-    KIND_MIN,
     MergeError,
     Partition,
     _run_heights,
@@ -47,8 +46,7 @@ def test_seed_empty():
 
 def test_merge_forward_fig(fig_graph):
     tau = compute_tau(fig_graph)
-    kinds = [KIND_MIN] * fig_graph.n
-    out = partition_from_groups(merge_partitions(fig_graph, tau, kinds, [[5]], 3))
+    out = partition_from_groups(merge_partitions(fig_graph, tau, [[5]], 3))
     assert out.groups == FIG_MIN_GROUPS
 
 
@@ -56,7 +54,7 @@ def test_merge_forward_all_tau2():
     g = make_graph([1, 0], [[0], [1]], sigma=2)
     tau = compute_tau(g)
     assert tau == [2, 2]
-    out = partition_from_groups(merge_partitions(g, tau, [KIND_MIN] * g.n, [], 3))
+    out = partition_from_groups(merge_partitions(g, tau, [], 3))
     assert out.groups == ((1,), (0,))
 
 
@@ -65,7 +63,7 @@ def test_merge_forward_equal_minima_join():
     g = make_graph([0, 0, 1, 1], [[0], [1], [0], [1]], sigma=2)
     tau = compute_tau(g)
     assert tau == [2, 2, 1, 1]
-    out = partition_from_groups(merge_partitions(g, tau, [KIND_MIN] * g.n, [], 3))
+    out = partition_from_groups(merge_partitions(g, tau, [], 3))
     assert out.groups == ((0, 1), (2, 3))
     assert out == oracle_partition(g, "min")
 
@@ -112,9 +110,8 @@ def test_psi_equals_oracle_leading_run(exhaustive_graphs):
 def test_merge_backward_fig(fig_graph):
     tau = compute_tau(fig_graph)
     psi = _run_heights(fig_graph, [t == 3 for t in tau])
-    kinds = [KIND_MIN] * fig_graph.n
     b1 = [[1], [2], [3], [4], [6]]
-    out = partition_from_groups(merge_partitions(fig_graph, tau, kinds, b1, 1, psi))
+    out = partition_from_groups(merge_partitions(fig_graph, tau, b1, 1, psi))
     assert out.groups == FIG_MIN_GROUPS
 
 
@@ -123,8 +120,7 @@ def test_merge_backward_no_tau3():
     tau = compute_tau(g)
     assert tau == [2, 1]
     psi = _run_heights(g, [t == 3 for t in tau])
-    kinds = [KIND_MIN] * g.n
-    out = partition_from_groups(merge_partitions(g, tau, kinds, [[1]], 1, psi))
+    out = partition_from_groups(merge_partitions(g, tau, [[1]], 1, psi))
     assert out.groups == ((0,), (1,))
 
 
@@ -137,8 +133,7 @@ def test_merge_backward_reemission():
     tau = compute_tau(g)
     assert tau == [3, 3, 1, 2]
     psi = _run_heights(g, [t == 3 for t in tau])
-    kinds = [KIND_MIN] * g.n
-    out = partition_from_groups(merge_partitions(g, tau, kinds, [[2]], 1, psi))
+    out = partition_from_groups(merge_partitions(g, tau, [[2]], 1, psi))
     assert out == oracle_partition(g, "min")
     assert out.groups == ((0,), (1,), (2,), (3,))
 
@@ -146,13 +141,12 @@ def test_merge_backward_reemission():
 def test_both_directions_agree_exhaustively(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
-        kinds = [KIND_MIN] * g.n
         truth = oracle_partition(g, "min")
         b3 = [[u for u in grp if tau[u] == 3] for grp in truth.groups]
         b1 = [[u for u in grp if tau[u] == 1] for grp in truth.groups]
         psi = _run_heights(g, [t == 3 for t in tau])
-        fwd = partition_from_groups(merge_partitions(g, tau, kinds, b3, 3))
-        bwd = partition_from_groups(merge_partitions(g, tau, kinds, b1, 1, psi))
+        fwd = partition_from_groups(merge_partitions(g, tau, b3, 3))
+        bwd = partition_from_groups(merge_partitions(g, tau, b1, 1, psi))
         assert fwd == truth, (g.label, g.preds)
         assert bwd == truth, (g.label, g.preds)
 
@@ -184,7 +178,7 @@ def test_psi_order_observation(exhaustive_graphs):
 def test_merge_rejects_impure_class_group(fig_graph):
     tau = compute_tau(fig_graph)
     with pytest.raises(MergeError):
-        merge_partitions(fig_graph, tau, [KIND_MIN] * fig_graph.n, [[5, 1]], 3)
+        merge_partitions(fig_graph, tau, [[5, 1]], 3)
 
 
 def test_partition_rank_consistency():

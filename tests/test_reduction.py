@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from gsa import make_graph, validate
+from gsa import make_graph, transpose_alphabet, validate
 from gsa.classify import compute_tau
-from gsa.driver import _tau_for_kinds, _union_graph
-from gsa.generators import gen
 from gsa.graph import trim_for_kinds
-from gsa.merge import KIND_MAX, KIND_MIN
 from gsa.oracle import oracle_partition, oracle_prefixes
 from gsa.reduction import (
     ExplorationError,
@@ -20,6 +16,8 @@ from gsa.reduction import (
     build_reduced_graph,
     explore,
 )
+
+from conftest import generated_graphs
 
 
 class _FourPassScratch(ExplorationScratch):
@@ -30,7 +28,7 @@ class _FourPassScratch(ExplorationScratch):
         self.seen = [0] * n
 
 
-def _explore_four_pass(g, tau, u, direction, maximize=False, scratch=None):
+def _explore_four_pass(g, tau, u, direction, scratch=None):
     """The former explore, kept as the reference for the one-pass rewrite.
 
     Each step pools the unvisited predecessors of the whole frontier, then
@@ -39,7 +37,7 @@ def _explore_four_pass(g, tau, u, direction, maximize=False, scratch=None):
     """
     if scratch is None:
         scratch = _FourPassScratch(g.n)
-    subtract = (direction == 3) != maximize
+    subtract = direction == 3
     label = g.label
     preds = g.preds
     visited = scratch.visited
@@ -61,10 +59,9 @@ def _explore_four_pass(g, tau, u, direction, maximize=False, scratch=None):
                 pool.append(p)
         if not pool:
             raise ExplorationError(f"empty frontier while exploring node {u}")
-        best = max if maximize else min
-        best_label = best(label[p] for p in pool)
+        best_label = min(label[p] for p in pool)
         sel = [p for p in pool if label[p] == best_label]
-        best_tau = best(tau[p] for p in sel)
+        best_tau = min(tau[p] for p in sel)
         frontier = [p for p in sel if tau[p] == best_tau]
         gamma.append(best_label)
         if (best_tau >= 2) if direction == 3 else (best_tau <= 2):
@@ -83,29 +80,26 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _assert_explore_matches_four_pass(g):
-    """Every node of g, in both directions, for min, max and union kinds.
+    """Every node of g and of transpose_alphabet(g), in both directions.
 
-    Each (kinds, direction) shares one scratch per implementation across its
-    explorations, as one level of the engine does.
+    The transposed graph stands for the max sense, which the engine runs as
+    the min sense on it. Each (graph, direction) shares one scratch per
+    implementation across its explorations, as one level of the engine does.
     """
-    n = g.n
-    cases = [(g, [KIND_MIN] * n), (g, [KIND_MAX] * n),
-             (_union_graph(g), [KIND_MIN] * n + [KIND_MAX] * n)]
-    for h, kinds in cases:
-        tau = _tau_for_kinds(h, kinds)
-        gt = trim_for_kinds(h, tau, kinds)
+    for h in (g, transpose_alphabet(g)):
+        tau = compute_tau(h)
+        gt = trim_for_kinds(h, tau)
         for direction in (3, 1):
             new_sc, ref_sc = ExplorationScratch(h.n), _FourPassScratch(h.n)
             for u in range(h.n):
-                mx = kinds[u] == KIND_MAX
-                r, err = _outcome(explore, gt, tau, u, direction, mx, new_sc)
-                ref, ref_err = _outcome(_explore_four_pass, gt, tau, u, direction, mx, ref_sc)
-                where = (g.label, g.preds, kinds[u], direction, u)
+                r, err = _outcome(explore, gt, tau, u, direction, new_sc)
+                ref, ref_err = _outcome(_explore_four_pass, gt, tau, u, direction, ref_sc)
+                where = (h.label, h.preds, direction, u)
                 assert err == ref_err, where
                 if ref is None:
                     continue
                 assert (r.node, r.gamma, r.t) == (ref.node, ref.gamma, ref.t), where
-                assert sorted(r.frontier) == sorted(ref.frontier), where
+                assert r.frontier == ref.frontier, where
                 assert len(set(r.frontier)) == len(r.frontier), where
                 assert r.edges_scanned <= ref.edges_scanned, where
 
@@ -115,40 +109,15 @@ def test_explore_matches_four_pass_exhaustively(exhaustive_graphs):
         _assert_explore_matches_four_pass(g)
 
 
-@st.composite
-def _generated(draw):
-    kind = draw(st.sampled_from(["random", "cycle", "debruijn", "chain-feeding-sink"]))
-    if kind == "debruijn":
-        sigma = draw(st.integers(2, 3))
-        return gen(kind, sigma ** draw(st.integers(1, 4 if sigma == 2 else 3)), sigma)
-    if kind == "chain-feeding-sink":
-        return gen(kind, draw(st.integers(2, 20)), 2)
-    n = draw(st.integers(1, 30))
-    sigma = draw(st.integers(1, min(n, 6)))
-    return gen(kind, n, sigma, seed=draw(st.integers(0, 10**6)), density=0.4)
-
-
 @settings(deadline=None, max_examples=80)
-@given(g=_generated())
+@given(g=generated_graphs())
 def test_explore_matches_four_pass_on_generators(g):
     _assert_explore_matches_four_pass(g)
 
 
-def test_max_frontier_is_reverse_encounter_order():
-    # node 2's predecessors 0 and 1 share the greatest label and tau; the
-    # max sense reads the row from the back
-    g = make_graph([1, 1, 0], [[0], [1], [0, 1]], sigma=2)
-    tau = compute_tau(g)
-    assert tau == _tau_for_kinds(g, [KIND_MAX] * 3) == [2, 2, 3]
-    r = explore(g, tau, 2, direction=1, maximize=True)
-    assert r.gamma == (0, 1) and r.t == 2
-    assert r.frontier == (1, 0)
-    assert explore(g, tau, 2, direction=3).frontier == (0, 1)
-
-
 def test_fig_type3_exploration(fig_graph):
     tau = compute_tau(fig_graph)
-    gt = trim_for_kinds(fig_graph, tau, [KIND_MIN] * fig_graph.n)
+    gt = trim_for_kinds(fig_graph, tau)
     r = explore(gt, tau, 5, direction=3)
     # min_5 = a b # ...; the walk stops at the #-looped node
     assert r.gamma == (1, 2, 0)
@@ -159,7 +128,7 @@ def test_fig_type3_exploration(fig_graph):
 def test_two_cycle_type3_exploration():
     g = make_graph([0, 1], [[1], [0]], sigma=2)
     tau = compute_tau(g)
-    r = explore(trim_for_kinds(g, tau, [KIND_MIN] * g.n), tau, 0, direction=3)
+    r = explore(trim_for_kinds(g, tau), tau, 0, direction=3)
     assert r.gamma == (0, 1, 0)
     assert r.t == 3
     assert r.frontier == (0,)
@@ -170,7 +139,7 @@ def test_immediate_tau2_stop():
     g = make_graph([0, 1], [[1], [1]], sigma=2)
     tau = compute_tau(g)
     assert tau == [3, 2]
-    r = explore(trim_for_kinds(g, tau, [KIND_MIN] * g.n), tau, 0, direction=3)
+    r = explore(trim_for_kinds(g, tau), tau, 0, direction=3)
     assert r.gamma == (0, 1) and r.t == 2 and r.frontier == (1,)
 
 
@@ -199,7 +168,7 @@ def test_type1_walks_through_tau3_chain():
 def test_gamma_matches_oracle_prefix_exhaustively(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
-        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
+        gt = trim_for_kinds(g, tau)
         rows = oracle_prefixes(g, "min", g.n + 2)
         sc = ExplorationScratch(g.n)
         for u in range(g.n):
@@ -221,7 +190,7 @@ def test_gamma_matches_oracle_prefix_exhaustively(exhaustive_graphs):
 def test_gamma_monotone_by_direction(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
-        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
+        gt = trim_for_kinds(g, tau)
         sc = ExplorationScratch(g.n)
         for u in range(g.n):
             if tau[u] == 3:
@@ -236,7 +205,7 @@ def test_gamma_monotone_by_direction(exhaustive_graphs):
 
 def test_build_reduced_fig(fig_graph):
     tau = compute_tau(fig_graph)
-    gt = trim_for_kinds(fig_graph, tau, [KIND_MIN] * fig_graph.n)
+    gt = trim_for_kinds(fig_graph, tau)
     r = explore(gt, tau, 5, direction=3)
     rg = build_reduced_graph(gt, [r], 3)
     assert rg.node_map == (5,)
@@ -295,7 +264,7 @@ def test_order_preservation_exhaustively(exhaustive_graphs):
         tau = compute_tau(g)
         if sum(1 for t in tau if t == 3) < 2:
             continue
-        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
+        gt = trim_for_kinds(g, tau)
         sc = ExplorationScratch(g.n)
         recs = [
             explore(gt, tau, u, direction=3, scratch=sc)
@@ -317,7 +286,7 @@ def test_order_preservation_exhaustively(exhaustive_graphs):
 def test_reduced_self_loops_iff_t2(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
-        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
+        gt = trim_for_kinds(g, tau)
         sc = ExplorationScratch(g.n)
         recs = [
             explore(gt, tau, u, direction=3, scratch=sc)
@@ -342,7 +311,7 @@ def test_edge_work_bound_on_trimmed(exhaustive_graphs):
         make_graph([0, 1], [[1], [0]], sigma=2),
     ]:
         tau = compute_tau(g)
-        gt = trim_for_kinds(g, tau, [KIND_MIN] * g.n)
+        gt = trim_for_kinds(g, tau)
         sc = ExplorationScratch(g.n)
         for u in range(g.n):
             if tau[u] == 3:
