@@ -54,16 +54,17 @@ def bench_scaling(
     for kind in kinds:
         points = []
         for idx, n in enumerate(sizes):
+            g_seed = seed + n if kind == "random" else seed
             if kind == "random":
                 s = sigma if sigma is not None else max(2, n // 4)
                 d = density if density is not None else 0.5
-                g = gen("random", n, s, seed=seed + n, density=d)
+                g = gen("random", n, s, seed=g_seed, density=d)
             elif kind == "cycle":
-                g = gen("cycle", n, min(n, sigma or 2), seed=seed)
+                g = gen("cycle", n, min(n, sigma or 2), seed=g_seed)
             elif kind == "chain-feeding-sink":
-                g = gen("chain-feeding-sink", n, 2, seed=seed)
+                g = gen("chain-feeding-sink", n, 2, seed=g_seed)
             else:
-                g = gen(kind, n, sigma or 2, seed=seed)
+                g = gen(kind, n, sigma or 2, seed=g_seed)
             if idx == 0:
                 min_partition(g)  # warm-up, discarded
             times = []
@@ -79,7 +80,7 @@ def bench_scaling(
                     kind=kind,
                     n=g.n,
                     m=g.edge_count(),
-                    seed=seed + n,
+                    seed=g_seed,
                     wall_time_ns=med,
                     peak_frontier_work=stats.peak_exploration_edges,
                     recursion_depth=stats.depth,

@@ -1,11 +1,13 @@
 """Lift a partition of the recursed tau class back to a partition of all nodes.
 
-Working state is a grid of buckets A[c][t], one per (character, tau class).
-The class that was recursed on and the tau=2 seeds are prefilled; groups are
-then processed in string order and each processed group emits successor
-groups into the remaining tau class, which is built incrementally.
+Working state is a grid of buckets A[c][t], one per (character, tau class),
+holding integer group ids; a group's members, run height and processed flag
+live in lists indexed by its id. The class that was recursed on and the tau=2
+seeds are prefilled; groups are then processed in string order and each
+processed group emits successor groups into the remaining tau class (the fill
+class), which is built incrementally.
 
-The direction of the recursion picks how that class is placed:
+The direction of the recursion picks how the fill class is placed:
 
 * direction 3 (ascending sweep, tau=1 class built) places by marking: a node
   is placed once, the first time it is reached, and never moves;
@@ -13,6 +15,9 @@ The direction of the recursion picks how that class is placed:
   end, tau=3 class built) places by run-length heights (psi) with
   tombstones: a node may be re-placed by a later, better group, and stale
   placements are skipped when their group is processed.
+
+Either way every node is output exactly once, in a group of nodes with equal
+strings, or :class:`MergeError` is raised.
 """
 
 from __future__ import annotations
@@ -97,14 +102,6 @@ def _run_heights(g: LabeledGraph, active: Sequence[bool]) -> list[int]:
     return psi
 
 
-@dataclass
-class _Group:
-    members: list[int]
-    psi: int
-    gid: int
-    processed: bool = False
-
-
 def merge_partitions(
     g: LabeledGraph,
     tau: Sequence[int],
@@ -117,6 +114,15 @@ def merge_partitions(
     ``class_groups`` is the true ordered partition of the tau=direction nodes
     (ascending). With direction 1, ``psi`` must give the run heights of the
     tau=3 nodes, which are placed by the run-length mechanism.
+
+    A group is an integer id into three parallel lists: its members, its run
+    height and whether it has been processed. The buckets hold ids, and
+    ``placed_gid[v]`` is the id of the group that currently holds fill node
+    ``v``; a group's live members are those it still holds. A processed
+    group with one live node emits each fill successor as a group of its own,
+    since a deterministic graph gives one node's successors distinct labels.
+    A larger group pools its successors, drops repeats with a stamp array and
+    groups them by label.
     """
     n = g.n
     sigma = g.sigma
@@ -125,33 +131,33 @@ def merge_partitions(
     fill = 1 if direction == 3 else 3
     ascending = direction == 3
 
-    buckets: list[list[list[_Group]]] = [
-        [[] for _ in range(4)] for _ in range(sigma)
-    ]
-    groups_by_gid: list[_Group] = []
+    members: list[list[int]] = []  # of each group, indexed by group id
+    buckets: list[list[list[int]]] = [[[] for _ in range(4)] for _ in range(sigma)]
+    to_fill = [row[fill] for row in buckets]  # the fill bucket of each character
 
-    def new_group(members: list[int], psi_val: int) -> _Group:
-        grp = _Group(members, psi_val, len(groups_by_gid))
-        groups_by_gid.append(grp)
-        return grp
-
-    for members in class_groups:
-        ms = list(members)
+    for grp in class_groups:
+        ms = list(grp)
         if not ms:
             continue
         c = label[ms[0]]
         if any(label[x] != c or tau[x] != direction for x in ms):
             raise MergeError("class group is not label- and tau-pure")
-        buckets[c][direction].append(new_group(ms, 0))
+        buckets[c][direction].append(len(members))
+        members.append(ms)
     by_label: list[list[int]] = [[] for _ in range(sigma)]
     for u in range(n):
         if tau[u] == 2:
             by_label[label[u]].append(u)
     for c in range(sigma):
         if by_label[c]:
-            buckets[c][2].append(new_group(by_label[c], 0))
+            buckets[c][2].append(len(members))
+            members.append(by_label[c])
+    nxt = len(members)  # id of the next group
+    height = [0] * nxt  # run height (psi) of each group's members
+    done = [False] * nxt  # processed flag
 
     placed_gid = [-1] * n  # current group of each fill node
+    stamp = [-1] * n  # id of the last group that pooled each node
     out: list[list[int]] = []
     if not ascending and psi is None:
         raise MergeError("psi heights required but not provided")
@@ -159,58 +165,84 @@ def merge_partitions(
     char_order = range(sigma) if ascending else range(sigma - 1, -1, -1)
     t_order = (1, 2, 3) if ascending else (3, 2, 1)
 
-    def process(grp: _Group, c_i: int, t: int) -> None:
-        grp.processed = True
-        if t == fill:
-            alive = [v for v in grp.members if placed_gid[v] == grp.gid]
-        else:
-            alive = grp.members
-        if not alive:
-            return
-        out.append(alive)
-        cand: dict[int, list[int]] = {}
-        in_cand: set[int] = set()
-        for u in alive:
-            for v in succs[u]:
-                if tau[v] != fill or v in in_cand:
-                    continue
-                c_k = label[v]
-                if ascending:
-                    if placed_gid[v] >= 0:
-                        continue
-                else:
-                    # run-length placement: only toward the already-swept side,
-                    # and an equal character only from within the fill class
-                    if c_k > c_i or (c_k == c_i and t != fill):
-                        continue
-                    if psi[v] != (grp.psi + 1 if c_k == c_i else 1):
-                        continue
-                in_cand.add(v)
-                cand.setdefault(c_k, []).append(v)
-        for c_k, members in cand.items():
-            psi_val = grp.psi + 1 if c_k == c_i and t == fill else 1
-            j = new_group(members, psi_val)
-            for v in members:
-                old = placed_gid[v]
-                if old >= 0 and groups_by_gid[old].processed:
-                    raise MergeError(
-                        f"node {v} re-placed after its group was finalized"
-                    )
-                placed_gid[v] = j.gid
-            buckets[c_k][fill].append(j)
-
-    for c in char_order:
+    for c_i in char_order:
         for t in t_order:
-            lst = buckets[c][t]
-            if t == fill:
-                i = 0
-                while i < len(lst):
-                    grp = lst[i]
-                    i += 1
-                    process(grp, c, t)
-            else:
-                for grp in (lst if ascending else reversed(lst)):
-                    process(grp, c, t)
+            in_fill = t == fill
+            lst = buckets[c_i][t]
+            if not (ascending or in_fill):
+                lst = lst[::-1]
+            # a fill bucket grows while it is processed
+            i = 0
+            while i < len(lst):
+                gid = lst[i]
+                i += 1
+                done[gid] = True
+                alive = members[gid]
+                if in_fill:
+                    if len(alive) == 1:
+                        if placed_gid[alive[0]] != gid:
+                            continue
+                    else:
+                        alive = [v for v in alive if placed_gid[v] == gid]
+                        if not alive:
+                            continue
+                out.append(alive)
+                h = height[gid]
+                if len(alive) == 1:
+                    for v in succs[alive[0]]:
+                        if tau[v] != fill or (ascending and placed_gid[v] >= 0):
+                            continue
+                        c_k = label[v]
+                        if not ascending:
+                            # run-length placement: only toward the already-swept
+                            # side, and an equal character only from within the
+                            # fill class
+                            if c_k > c_i or (c_k == c_i and not in_fill):
+                                continue
+                            if psi[v] != (h + 1 if c_k == c_i else 1):
+                                continue
+                            old = placed_gid[v]
+                            if old >= 0 and done[old]:
+                                raise MergeError(
+                                    f"node {v} re-placed after its group was finalized"
+                                )
+                        placed_gid[v] = nxt
+                        to_fill[c_k].append(nxt)
+                        nxt += 1
+                        members.append([v])
+                        height.append(h + 1 if c_k == c_i and in_fill else 1)
+                        done.append(False)
+                    continue
+                cand: dict[int, list[int]] = {}
+                for u in alive:
+                    for v in succs[u]:
+                        if tau[v] != fill or stamp[v] == gid:
+                            continue
+                        if ascending and placed_gid[v] >= 0:
+                            continue
+                        c_k = label[v]
+                        if not ascending:
+                            # the run-length rule of the one-node path above
+                            if c_k > c_i or (c_k == c_i and not in_fill):
+                                continue
+                            if psi[v] != (h + 1 if c_k == c_i else 1):
+                                continue
+                        stamp[v] = gid
+                        cand.setdefault(c_k, []).append(v)
+                for c_k, vs in cand.items():
+                    j = nxt
+                    nxt += 1
+                    for v in vs:
+                        old = placed_gid[v]
+                        if old >= 0 and done[old]:
+                            raise MergeError(
+                                f"node {v} re-placed after its group was finalized"
+                            )
+                        placed_gid[v] = j
+                    to_fill[c_k].append(j)
+                    members.append(vs)
+                    height.append(h + 1 if c_k == c_i and in_fill else 1)
+                    done.append(False)
 
     if not ascending:
         out.reverse()

@@ -1,0 +1,18 @@
+"""The scaling benchmark's records."""
+
+from __future__ import annotations
+
+from gsa.bench import bench_scaling
+
+
+def test_records_the_seed_passed_to_gen():
+    # only random graphs are drawn with seed + n; the other kinds get seed
+    records, _slopes = bench_scaling(
+        ["cycle", "debruijn", "random"], [16, 32, 64], repeats=1, seed=5
+    )
+    seeds = {(r.kind, r.n): r.seed for r in records}
+    assert seeds == {
+        **{("cycle", n): 5 for n in (16, 32, 64)},
+        **{("debruijn", n): 5 for n in (16, 32, 64)},
+        **{("random", n): 5 + n for n in (16, 32, 64)},
+    }

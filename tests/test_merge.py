@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given, settings
 
 from gsa import make_graph, min_partition
 from gsa.classify import compute_tau
@@ -16,7 +19,161 @@ from gsa.merge import (
 )
 from gsa.oracle import oracle_partition
 
-from conftest import FIG_MIN_GROUPS
+from conftest import FIG_MIN_GROUPS, generated_graphs
+
+
+@dataclass
+class _Group:
+    members: list[int]
+    psi: int
+    gid: int
+    processed: bool = False
+
+
+def _merge_with_group_objects(g, tau, class_groups, direction, psi=None):
+    """The former merge_partitions, kept as the reference for the id-based one.
+
+    Every group is a ``_Group`` object, and every processed group pools its
+    candidates in a set and groups them by label in a dict, whatever its size.
+    """
+    n = g.n
+    sigma = g.sigma
+    label = g.label
+    succs = g.succs
+    fill = 1 if direction == 3 else 3
+    ascending = direction == 3
+
+    buckets = [[[] for _ in range(4)] for _ in range(sigma)]
+    groups_by_gid = []
+
+    def new_group(members, psi_val):
+        grp = _Group(members, psi_val, len(groups_by_gid))
+        groups_by_gid.append(grp)
+        return grp
+
+    for members in class_groups:
+        ms = list(members)
+        if not ms:
+            continue
+        c = label[ms[0]]
+        if any(label[x] != c or tau[x] != direction for x in ms):
+            raise MergeError("class group is not label- and tau-pure")
+        buckets[c][direction].append(new_group(ms, 0))
+    by_label = [[] for _ in range(sigma)]
+    for u in range(n):
+        if tau[u] == 2:
+            by_label[label[u]].append(u)
+    for c in range(sigma):
+        if by_label[c]:
+            buckets[c][2].append(new_group(by_label[c], 0))
+
+    placed_gid = [-1] * n
+    out = []
+    if not ascending and psi is None:
+        raise MergeError("psi heights required but not provided")
+
+    char_order = range(sigma) if ascending else range(sigma - 1, -1, -1)
+    t_order = (1, 2, 3) if ascending else (3, 2, 1)
+
+    def process(grp, c_i, t):
+        grp.processed = True
+        if t == fill:
+            alive = [v for v in grp.members if placed_gid[v] == grp.gid]
+        else:
+            alive = grp.members
+        if not alive:
+            return
+        out.append(alive)
+        cand = {}
+        in_cand = set()
+        for u in alive:
+            for v in succs[u]:
+                if tau[v] != fill or v in in_cand:
+                    continue
+                c_k = label[v]
+                if ascending:
+                    if placed_gid[v] >= 0:
+                        continue
+                else:
+                    if c_k > c_i or (c_k == c_i and t != fill):
+                        continue
+                    if psi[v] != (grp.psi + 1 if c_k == c_i else 1):
+                        continue
+                in_cand.add(v)
+                cand.setdefault(c_k, []).append(v)
+        for c_k, members in cand.items():
+            psi_val = grp.psi + 1 if c_k == c_i and t == fill else 1
+            j = new_group(members, psi_val)
+            for v in members:
+                old = placed_gid[v]
+                if old >= 0 and groups_by_gid[old].processed:
+                    raise MergeError(
+                        f"node {v} re-placed after its group was finalized"
+                    )
+                placed_gid[v] = j.gid
+            buckets[c_k][fill].append(j)
+
+    for c in char_order:
+        for t in t_order:
+            lst = buckets[c][t]
+            if t == fill:
+                i = 0
+                while i < len(lst):
+                    grp = lst[i]
+                    i += 1
+                    process(grp, c, t)
+            else:
+                for grp in (lst if ascending else reversed(lst)):
+                    process(grp, c, t)
+
+    if not ascending:
+        out.reverse()
+    placed = sum(len(grp) for grp in out)
+    if placed != n or {u for grp in out for u in grp} != set(range(n)):
+        raise MergeError("merge did not place every node exactly once")
+    return out
+
+
+def _merge_outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except MergeError as e:
+        return None, str(e)
+
+
+def _assert_merge_matches_group_objects(g, truth=None):
+    """Both directions, fed the true class groups and _run_heights psi.
+
+    The two merges must return equal groups, or raise the same MergeError.
+    Returns the size of the largest group of fill nodes (the tau class that
+    the merge builds) in either direction; one above 1 was built from a
+    processed group with more than one live node.
+    """
+    tau = compute_tau(g)
+    if truth is None:
+        truth = oracle_partition(g, "min")
+    psi = _run_heights(g, [t == 3 for t in tau])
+    largest = 0
+    for direction in (3, 1):
+        class_groups = [[u for u in grp if tau[u] == direction] for grp in truth.groups]
+        args = (g, tau, class_groups, direction, psi if direction == 1 else None)
+        out, err = _merge_outcome(merge_partitions, *args)
+        ref, ref_err = _merge_outcome(_merge_with_group_objects, *args)
+        where = (g.label, g.preds, direction)
+        assert (out, err) == (ref, ref_err), where
+        if out is not None:
+            assert partition_from_groups(out) == truth, where
+            fill = 1 if direction == 3 else 3
+            sizes = [len(grp) for grp in out if tau[grp[0]] == fill]
+            largest = max([largest, *sizes])
+    return largest
+
+
+def _disjoint_copies(g, k):
+    """k copies of g side by side; copy i numbers its nodes from i * g.n."""
+    labels = list(g.label) * k
+    preds = [[p + i * g.n for p in row] for i in range(k) for row in g.preds]
+    return make_graph(labels, preds, sigma=g.sigma)
 
 
 def _tau2_groups(g):
@@ -139,16 +296,10 @@ def test_merge_backward_reemission():
 
 
 def test_both_directions_agree_exhaustively(exhaustive_graphs):
+    # each direction returns the oracle's partition and agrees with the
+    # object-based reference
     for g in exhaustive_graphs:
-        tau = compute_tau(g)
-        truth = oracle_partition(g, "min")
-        b3 = [[u for u in grp if tau[u] == 3] for grp in truth.groups]
-        b1 = [[u for u in grp if tau[u] == 1] for grp in truth.groups]
-        psi = _run_heights(g, [t == 3 for t in tau])
-        fwd = partition_from_groups(merge_partitions(g, tau, b3, 3))
-        bwd = partition_from_groups(merge_partitions(g, tau, b1, 1, psi))
-        assert fwd == truth, (g.label, g.preds)
-        assert bwd == truth, (g.label, g.preds)
+        _assert_merge_matches_group_objects(g)
 
 
 def test_smallest_char_never_tau1_largest_never_tau3(mixed_corpus):
@@ -185,3 +336,54 @@ def test_partition_rank_consistency():
     p = Partition(((2, 3), (0,), (1,)))
     assert p.rank == {2: 0, 3: 0, 0: 1, 1: 2}
     assert set(p.rank) == {0, 1, 2, 3}
+
+
+@settings(deadline=None, max_examples=80)
+@given(g=generated_graphs())
+def test_merge_matches_group_objects_on_generators(g):
+    _assert_merge_matches_group_objects(g)
+
+
+@pytest.mark.parametrize(
+    "kind, n, sigma, copies",
+    [
+        ("random", 12, 3, 4),
+        ("debruijn", 8, 2, 3),
+        ("chain-feeding-sink", 6, 2, 2),
+        ("cycle", 12, 3, 1),
+        ("cycle", 20, 4, 1),
+    ],
+)
+def test_merge_matches_group_objects_on_multi_node_groups(kind, n, sigma, copies):
+    # the benchmark's graphs put every node in a group of its own, so these
+    # are the graphs on which the merge pools the successors of many nodes
+    g = _disjoint_copies(gen(kind, n, sigma, seed=7, density=0.4), copies)
+    assert _assert_merge_matches_group_objects(g) > 1
+
+
+@pytest.mark.parametrize(
+    "kind, n, sigma, copies", [("random", 2500, 4, 4), ("cycle", 9999, 3, 1)]
+)
+def test_merge_matches_group_objects_at_scale(kind, n, sigma, copies):
+    # too large for the oracle; the engine's partition stands in for it
+    g = _disjoint_copies(gen(kind, n, sigma, seed=3), copies)
+    truth = min_partition(g)
+    assert min(map(len, truth.groups)) > 1
+    assert _assert_merge_matches_group_objects(g, truth) > 1
+
+
+def test_merge_requires_psi_for_direction_1(fig_graph):
+    tau = compute_tau(fig_graph)
+    with pytest.raises(MergeError, match="psi heights required"):
+        merge_partitions(fig_graph, tau, [[1], [2], [3], [4], [6]], 1)
+
+
+def test_merge_rejects_a_node_left_unplaced():
+    # node 0's true run height is 1; at 2 no group ever places it
+    g = make_graph([0, 1], [[1], [1]], sigma=2)
+    tau = compute_tau(g)
+    assert tau == [3, 2]
+    psi = _run_heights(g, [t == 3 for t in tau])
+    assert psi == [1, 0]
+    with pytest.raises(MergeError, match="did not place every node exactly once"):
+        merge_partitions(g, tau, [], 1, [2, 0])
