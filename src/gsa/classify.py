@@ -8,15 +8,55 @@ walking edges backward from u. Define tau(u) as
 * 2 if min_u = label(u)^omega,
 * 3 otherwise.
 
-Both phases below touch every edge a bounded number of times, so the whole
-classification runs in O(|E|).
+A node that is not tau=1 has no smaller-labeled predecessor, so min_u begins
+with a run of label(u), and one topological peel of the equal-label edges
+(:func:`equal_label_heights`) measures that run: infinite (tau=2) or finite
+(tau=3). The same peel gives the run heights of the direction-1 merge. Each
+phase touches every edge a bounded number of times, so the classification
+runs in O(|E|).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Sequence
 
 from .graph import LabeledGraph
+
+
+def equal_label_heights(g: LabeledGraph, active: Sequence[bool]) -> list[int]:
+    """Heights of the acyclic equal-label chains among the active nodes.
+
+    h[v] = 1 + max h over v's active equal-label predecessors, or 1 when
+    there are none. The equal-label edges between active nodes are peeled in
+    topological order (Kahn): a node is peeled once all those predecessors
+    are, and a list that grows while it is read is the queue. A node whose
+    backward equal-label walk through active nodes reaches a cycle is never
+    peeled and gets 0, as does every inactive node.
+    """
+    n = g.n
+    label = g.label
+    succs = g.succs
+    indeg = [0] * n
+    for u in range(n):
+        if active[u]:
+            lu = label[u]
+            for v in succs[u]:
+                if label[v] == lu and active[v]:
+                    indeg[v] += 1
+    h = [0] * n  # until v is peeled: the greatest h of its peeled predecessors
+    queue = [v for v in range(n) if active[v] and not indeg[v]]
+    for u in queue:
+        hu = h[u] + 1
+        h[u] = hu
+        lu = label[u]
+        for v in succs[u]:
+            if label[v] == lu and active[v]:
+                if h[v] < hu:
+                    h[v] = hu
+                indeg[v] -= 1
+                if not indeg[v]:
+                    queue.append(v)
+    return [0 if d else x for x, d in zip(h, indeg)]
 
 
 def compute_tau(g: LabeledGraph) -> list[int]:
@@ -25,11 +65,9 @@ def compute_tau(g: LabeledGraph) -> list[int]:
     Phase 1 marks tau=1 nodes: seeds are nodes with a strictly smaller-labeled
     predecessor (rows are in label order, so ``preds[v][0]`` decides), and
     the property propagates forward along equal-label edges.
-    Phase 2 decides 2 vs 3 for the rest: a node is tau=2 exactly when walking
-    equal-label edges backward can reach a repeated node (an equal-label
-    cycle). A depth-first search with memoized verdicts finds this; whenever a
-    cycle or an already-known tau=2 node is hit, the entire current path is
-    tau=2 and the search restarts elsewhere, so no node is pushed twice.
+    Phase 2 peels the equal-label edges among the other nodes: a node left
+    unpeeled reaches an equal-label cycle backward and is tau=2, a peeled
+    one is tau=3.
     """
     n = g.n
     label = g.label
@@ -37,56 +75,15 @@ def compute_tau(g: LabeledGraph) -> list[int]:
     succs = g.succs
 
     one = [False] * n
-    queue: deque[int] = deque()
-    for v in range(n):
-        ps = preds[v]
-        if ps and label[ps[0]] < label[v]:
-            one[v] = True
-            queue.append(v)
-    while queue:
-        u = queue.popleft()
+    queue = [v for v in range(n) if preds[v] and label[preds[v][0]] < label[v]]
+    for v in queue:
+        one[v] = True
+    for u in queue:
         lu = label[u]
         for v in succs[u]:
             if label[v] == lu and not one[v]:
                 one[v] = True
                 queue.append(v)
 
-    verdict = [0] * n  # 0 unknown, else 2 or 3
-    onstack = [False] * n
-    for s in range(n):
-        if one[s] or verdict[s]:
-            continue
-        stack: list[tuple[int, int]] = [(s, 0)]  # (node, next pred index)
-        onstack[s] = True
-        while stack:
-            u, i = stack[-1]
-            lu = label[u]
-            ps = preds[u]
-            pushed = False
-            aborted = False
-            while i < len(ps):
-                p = ps[i]
-                i += 1
-                if label[p] != lu or one[p] or verdict[p] == 3:
-                    continue
-                if verdict[p] == 2 or onstack[p]:
-                    # everything on the current path reaches the cycle
-                    for w, _ in stack:
-                        verdict[w] = 2
-                        onstack[w] = False
-                    stack.clear()
-                    aborted = True
-                    break
-                stack[-1] = (u, i)
-                stack.append((p, 0))
-                onstack[p] = True
-                pushed = True
-                break
-            if aborted or pushed:
-                continue
-            stack.pop()
-            onstack[u] = False
-            verdict[u] = 3
-
-    return [1 if one[u] else verdict[u] for u in range(n)]
-
+    h = equal_label_heights(g, [not x for x in one])
+    return [1 if one[u] else 3 if h[u] else 2 for u in range(n)]

@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from .classify import equal_label_heights
 from .graph import LabeledGraph
 
 class MergeError(RuntimeError):
@@ -55,50 +56,16 @@ def _run_heights(g: LabeledGraph, active: Sequence[bool]) -> list[int]:
     """Length of the leading label-run of the string of every active node.
 
     psi[u] = 1 + max psi over active equal-label predecessors, or 1 if there
-    are none. The active nodes are the run-length-placed fill class (the
-    tau=3 nodes of a direction-1 level), whose equal-label chains are
-    acyclic, so a memoized depth-first pass suffices. Entries for other nodes
-    are 0.
+    are none: :func:`equal_label_heights`. The active nodes are the
+    run-length-placed fill class (the tau=3 nodes of a direction-1 level),
+    whose equal-label chains are acyclic, so the peel reaches every one of
+    them; an active node it leaves at 0 raises :class:`MergeError`. Entries
+    for other nodes are 0.
     """
-    n = g.n
-    label = g.label
-    preds = g.preds
-    psi = [0] * n
-    onstack = [False] * n
-    for s in range(n):
-        if not active[s] or psi[s]:
-            continue
-        stack: list[tuple[int, int, int]] = [(s, 0, 0)]  # node, pred idx, best child
-        onstack[s] = True
-        while stack:
-            u, i, best = stack.pop()
-            lu = label[u]
-            ps = preds[u]
-            descended = False
-            while i < len(ps):
-                p = ps[i]
-                i += 1
-                if label[p] != lu or not active[p]:
-                    continue
-                if psi[p]:
-                    if psi[p] > best:
-                        best = psi[p]
-                    continue
-                if onstack[p]:
-                    raise MergeError(
-                        f"equal-label cycle through node {p} in a tau=3 chain"
-                    )
-                # revisit this edge after the child resolves so its height
-                # is folded into best
-                stack.append((u, i - 1, best))
-                stack.append((p, 0, 0))
-                onstack[p] = True
-                descended = True
-                break
-            if descended:
-                continue
-            psi[u] = best + 1
-            onstack[u] = False
+    psi = equal_label_heights(g, active)
+    for u in range(g.n):
+        if active[u] and not psi[u]:
+            raise MergeError(f"equal-label cycle through node {u} in a tau=3 chain")
     return psi
 
 
@@ -246,7 +213,9 @@ def merge_partitions(
 
     if not ascending:
         out.reverse()
-    placed = sum(len(grp) for grp in out)
-    if placed != n or {u for grp in out for u in grp} != set(range(n)):
+    for grp in out:
+        for u in grp:
+            stamp[u] = nxt  # no group has id nxt
+    if sum(map(len, out)) != n or stamp.count(nxt) != n:
         raise MergeError("merge did not place every node exactly once")
     return out

@@ -26,8 +26,11 @@ def oracle_prefixes(g: LabeledGraph, kind: str, L: int) -> list[tuple[int, ...]]
     S_1(u) = label(u); S_{k+1}(u) = label(u) followed by the best length-k
     row among u's predecessors.
     """
+    if kind not in ("min", "max"):
+        raise ValueError(f"kind must be min or max, got {kind!r}")
     if L < 1:
         raise ValueError("L must be >= 1")
+    require_valid(g)
     best = min if kind == "min" else max
     rows: list[tuple[int, ...]] = [(c,) for c in g.label]
     for _ in range(L - 1):

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsa import LabeledGraph, make_graph
+from gsa import LabeledGraph, make_graph, transpose_alphabet
 from gsa.classify import compute_tau
 from gsa.generators import gen
+from gsa.merge import _run_heights
 from gsa.oracle import oracle_partition, oracle_prefixes
 
-from conftest import FIG_TAU, random_corpus, small_corpus
+from conftest import FIG_TAU, generated_graphs, random_corpus, small_corpus
 
 
 def tau_invariant_violations(g: LabeledGraph, tau: Sequence[int]) -> list[str]:
@@ -111,3 +113,44 @@ def test_tau_monotone_in_min_order():
 def test_tau_oracle_property(n, sigma, seed):
     g = gen("random", n, min(sigma, n), seed=seed, density=0.4)
     assert compute_tau(g) == tau_from_oracle(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(g=generated_graphs())
+def test_tau_matches_oracle_on_generators(g):
+    # transposed rows break label ties by descending id, as max runs them
+    for h in (g, transpose_alphabet(g)):
+        assert compute_tau(h) == tau_from_oracle(h)
+
+
+@pytest.mark.parametrize(
+    "kind, n, sigma",
+    [
+        ("random", 10_000, 4),
+        ("random", 2_000, 50),
+        ("cycle", 10_000, 3),
+        ("debruijn", 2**13, 2),
+        ("debruijn", 3**7, 3),
+        ("chain-feeding-sink", 10_000, 2),
+    ],
+)
+def test_tau_and_psi_local_recurrence_at_scale(kind, n, sigma):
+    # too large for the oracle: check the recurrences that define tau 2 and
+    # 3 and psi, node by node. A tau=2 node has a tau=2 equal-label
+    # predecessor, so its backward walk never ends; a tau=3 node's equal-
+    # label predecessors are tau=3 with a psi at least one lower, so its walk
+    # is acyclic.
+    g0 = gen(kind, n, sigma, seed=5, density=0.3)
+    for g in (g0, transpose_alphabet(g0)):
+        tau = compute_tau(g)
+        assert tau_invariant_violations(g, tau) == []
+        psi = _run_heights(g, [t == 3 for t in tau])
+        for v in range(g.n):
+            eq = [p for p in g.preds[v] if g.label[p] == g.label[v]]
+            if tau[v] == 2:
+                assert psi[v] == 0 and any(tau[p] == 2 for p in eq), v
+            elif tau[v] == 3:
+                assert all(tau[p] == 3 for p in eq), v
+                assert psi[v] == 1 + max([psi[p] for p in eq], default=0), v
+            else:
+                assert psi[v] == 0, v

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings
 
-from gsa import make_graph, min_partition
+from gsa import make_graph, min_partition, transpose_alphabet
 from gsa.classify import compute_tau
 from gsa.generators import gen
 from gsa.merge import (
@@ -17,7 +17,7 @@ from gsa.merge import (
     merge_partitions,
     partition_from_groups,
 )
-from gsa.oracle import oracle_partition
+from gsa.oracle import oracle_partition, oracle_prefixes
 
 from conftest import FIG_MIN_GROUPS, generated_graphs
 
@@ -246,22 +246,37 @@ def test_psi_isolated_tau3():
     assert _run_heights(g, [t == 3 for t in tau])[0] == 1
 
 
-def test_psi_equals_oracle_leading_run(exhaustive_graphs):
-    from gsa.oracle import oracle_prefixes
+def _assert_psi_is_oracle_leading_run(g):
+    tau = compute_tau(g)
+    psi = _run_heights(g, [t == 3 for t in tau])
+    rows = oracle_prefixes(g, "min", g.n + 2)
+    for u in range(g.n):
+        if tau[u] != 3:
+            continue
+        run = 0
+        for c in rows[u]:
+            if c != g.label[u]:
+                break
+            run += 1
+        assert psi[u] == run, (g.label, g.preds, u)
 
+
+def test_psi_equals_oracle_leading_run(exhaustive_graphs):
     for g in exhaustive_graphs:
-        tau = compute_tau(g)
-        psi = _run_heights(g, [t == 3 for t in tau])
-        rows = oracle_prefixes(g, "min", g.n + 2)
-        for u in range(g.n):
-            if tau[u] != 3:
-                continue
-            run = 0
-            for c in rows[u]:
-                if c != g.label[u]:
-                    break
-                run += 1
-            assert psi[u] == run, (g.label, g.preds, u)
+        _assert_psi_is_oracle_leading_run(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(g=generated_graphs())
+def test_psi_equals_oracle_leading_run_on_generators(g):
+    for h in (g, transpose_alphabet(g)):
+        _assert_psi_is_oracle_leading_run(h)
+
+
+def test_run_heights_rejects_an_equal_label_cycle():
+    g = make_graph([0, 0], [[1], [0]])
+    with pytest.raises(MergeError, match="equal-label cycle through node 0"):
+        _run_heights(g, [True, True])
 
 
 def test_merge_backward_fig(fig_graph):
@@ -387,3 +402,13 @@ def test_merge_rejects_a_node_left_unplaced():
     assert psi == [1, 0]
     with pytest.raises(MergeError, match="did not place every node exactly once"):
         merge_partitions(g, tau, [], 1, [2, 0])
+
+
+def test_merge_rejects_a_node_placed_twice():
+    # the class group lists node 0 twice and leaves out node 1 (tau=3, never
+    # placed by a direction-3 merge), so the count of placed nodes equals n
+    g = make_graph([0, 0, 1], [[2], [0], [2]], sigma=2)
+    tau = compute_tau(g)
+    assert tau == [3, 3, 2]
+    with pytest.raises(MergeError, match="did not place every node exactly once"):
+        merge_partitions(g, tau, [[0, 0]], 3)

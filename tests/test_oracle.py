@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from gsa import make_graph, transpose_alphabet
+from gsa import InvalidGraphError, make_graph, transpose_alphabet
 from gsa.oracle import (
     OracleStabilizationError,
     enumerate_graphs_for_n,
@@ -51,6 +51,17 @@ def test_prefixes_rejects_bad_length(fig_graph):
 def test_partition_rejects_bad_kind(fig_graph):
     with pytest.raises(ValueError):
         oracle_partition(fig_graph, "best")
+
+
+def test_prefixes_rejects_bad_kind(fig_graph):
+    with pytest.raises(ValueError, match="kind must be min or max"):
+        oracle_prefixes(fig_graph, "mid", 5)
+
+
+def test_prefixes_rejects_invalid_graph():
+    # node 1 has no predecessor
+    with pytest.raises(InvalidGraphError):
+        oracle_prefixes(make_graph([0, 0], [[0], []]), "min", 3)
 
 
 def test_prefix_rows_extend_consistently(exhaustive_graphs):
