@@ -49,6 +49,8 @@ def bench_scaling(
     """
     if len(sizes) < 3 or sorted(set(sizes)) != sizes:
         raise ValueError("need >=3 strictly increasing sizes")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     records: list[BenchRecord] = []
     slopes: dict[str, float] = {}
     for kind in kinds:

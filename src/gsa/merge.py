@@ -5,7 +5,8 @@ holding integer group ids; a group's members, run height and processed flag
 live in lists indexed by its id. The class that was recursed on and the tau=2
 seeds are prefilled; groups are then processed in string order and each
 processed group emits successor groups into the remaining tau class (the fill
-class), which is built incrementally.
+class), which is built incrementally: the fill successors that one group
+reaches are grouped by label as they are placed, whatever the group's size.
 
 The direction of the recursion picks how the fill class is placed:
 
@@ -23,7 +24,8 @@ strings, or :class:`MergeError` is raised.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .classify import equal_label_heights
 from .graph import LabeledGraph
@@ -37,15 +39,15 @@ class Partition:
     """Ordered partition of a node universe by string value.
 
     Nodes in one group have equal strings; an earlier group means a strictly
-    smaller string. ``rank`` maps node -> group index.
+    smaller string. ``rank`` maps node -> group index; it is built on first
+    read.
     """
 
     groups: tuple[tuple[int, ...], ...]
-    rank: dict[int, int] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        r = {u: i for i, grp in enumerate(self.groups) for u in grp}
-        object.__setattr__(self, "rank", r)
+    @cached_property
+    def rank(self) -> dict[int, int]:
+        return {u: i for i, grp in enumerate(self.groups) for u in grp}
 
 
 def partition_from_groups(groups: Sequence[Sequence[int]]) -> Partition:
@@ -85,11 +87,12 @@ def merge_partitions(
     A group is an integer id into three parallel lists: its members, its run
     height and whether it has been processed. The buckets hold ids, and
     ``placed_gid[v]`` is the id of the group that currently holds fill node
-    ``v``; a group's live members are those it still holds. A processed
-    group with one live node emits each fill successor as a group of its own,
-    since a deterministic graph gives one node's successors distinct labels.
-    A larger group pools its successors, drops repeats with a stamp array and
-    groups them by label.
+    ``v``; a group's live members are those it still holds. A processed group
+    opens every id from ``base``, the next free id when it starts. It skips a
+    successor ``v`` if ``placed_gid[v] >= first``: marking (``first = 0``)
+    skips every placed node, run-length placement (``first = base``) only the
+    nodes this group placed. ``v`` joins ``open_gid[label[v]]``, the last
+    group opened for its label, if that is ``>= base``, and opens one if not.
     """
     n = g.n
     sigma = g.sigma
@@ -124,7 +127,7 @@ def merge_partitions(
     done = [False] * nxt  # processed flag
 
     placed_gid = [-1] * n  # current group of each fill node
-    stamp = [-1] * n  # id of the last group that pooled each node
+    open_gid = [-1] * sigma  # last group opened for each label
     out: list[list[int]] = []
     if not ascending and psi is None:
         raise MergeError("psi heights required but not provided")
@@ -155,9 +158,11 @@ def merge_partitions(
                             continue
                 out.append(alive)
                 h = height[gid]
-                if len(alive) == 1:
-                    for v in succs[alive[0]]:
-                        if tau[v] != fill or (ascending and placed_gid[v] >= 0):
+                base = nxt  # every id from base on is opened by this group
+                first = 0 if ascending else base
+                for u in alive:
+                    for v in succs[u]:
+                        if tau[v] != fill or placed_gid[v] >= first:
                             continue
                         c_k = label[v]
                         if not ascending:
@@ -173,49 +178,23 @@ def merge_partitions(
                                 raise MergeError(
                                     f"node {v} re-placed after its group was finalized"
                                 )
-                        placed_gid[v] = nxt
-                        to_fill[c_k].append(nxt)
-                        nxt += 1
-                        members.append([v])
-                        height.append(h + 1 if c_k == c_i and in_fill else 1)
-                        done.append(False)
-                    continue
-                cand: dict[int, list[int]] = {}
-                for u in alive:
-                    for v in succs[u]:
-                        if tau[v] != fill or stamp[v] == gid:
-                            continue
-                        if ascending and placed_gid[v] >= 0:
-                            continue
-                        c_k = label[v]
-                        if not ascending:
-                            # the run-length rule of the one-node path above
-                            if c_k > c_i or (c_k == c_i and not in_fill):
-                                continue
-                            if psi[v] != (h + 1 if c_k == c_i else 1):
-                                continue
-                        stamp[v] = gid
-                        cand.setdefault(c_k, []).append(v)
-                for c_k, vs in cand.items():
-                    j = nxt
-                    nxt += 1
-                    for v in vs:
-                        old = placed_gid[v]
-                        if old >= 0 and done[old]:
-                            raise MergeError(
-                                f"node {v} re-placed after its group was finalized"
-                            )
+                        j = open_gid[c_k]
+                        if j < base:  # this group has opened none of this label yet
+                            j = open_gid[c_k] = nxt
+                            nxt += 1
+                            to_fill[c_k].append(j)
+                            members.append([v])
+                            height.append(h + 1 if c_k == c_i and in_fill else 1)
+                            done.append(False)
+                        else:
+                            members[j].append(v)
                         placed_gid[v] = j
-                    to_fill[c_k].append(j)
-                    members.append(vs)
-                    height.append(h + 1 if c_k == c_i and in_fill else 1)
-                    done.append(False)
 
     if not ascending:
         out.reverse()
     for grp in out:
         for u in grp:
-            stamp[u] = nxt  # no group has id nxt
-    if sum(map(len, out)) != n or stamp.count(nxt) != n:
+            placed_gid[u] = nxt  # no group has id nxt
+    if sum(map(len, out)) != n or placed_gid.count(nxt) != n:
         raise MergeError("merge did not place every node exactly once")
     return out

@@ -179,11 +179,12 @@ def build_reduced_graph(
     for i, r in enumerate(by_node):
         parent_map[r.node] = i
 
-    keys = sorted({reduced_sort_key(r, direction, g.sigma) for r in records})
+    node_keys = [reduced_sort_key(r, direction, g.sigma) for r in by_node]
+    keys = sorted(set(node_keys))
     char_of = {k: i for i, k in enumerate(keys)}
     letter_key: list[tuple[tuple[int, ...], int]] = [(k[:-2], k[-1]) for k in keys]
 
-    labels = [char_of[reduced_sort_key(r, direction, g.sigma)] for r in by_node]
+    labels = [char_of[k] for k in node_keys]
     preds: list[list[int]] = []
     for i, r in enumerate(by_node):
         if r.t == 2:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from gsa.bench import bench_scaling
 
 
@@ -16,3 +18,9 @@ def test_records_the_seed_passed_to_gen():
         **{("debruijn", n): 5 for n in (16, 32, 64)},
         **{("random", n): 5 + n for n in (16, 32, 64)},
     }
+
+
+@pytest.mark.parametrize("repeats", [0, -1])
+def test_rejects_fewer_than_one_repeat(repeats):
+    with pytest.raises(ValueError, match="repeats"):
+        bench_scaling(["cycle"], [16, 32, 64], repeats=repeats)

@@ -169,6 +169,13 @@ def test_bench_needs_three_sizes(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_bench_needs_one_repeat(capsys, repeats):
+    argv = ["bench", "--kinds", "cycle", "--sizes", "8,16,32", "--repeats", repeats]
+    assert main(argv) == EXIT_USAGE
+    assert "usage error: repeats must be at least 1" in capsys.readouterr().err
+
+
 def test_bench_small_run(capsys):
     rc = main(
         [
