@@ -9,13 +9,18 @@ O(log n) and total work is quadratic.
 The maximum strings of g are the minimum strings of g with its character
 order flipped, so ``max_partition`` runs the same engine on
 ``transpose_alphabet(g)`` and reverses the groups. The joint partition runs
-the engine for min and for max, keeps one extremal in-edge per (node, kind)
-key, and orders the 2n keys by prefix doubling over those edges.
+the engine for min and for max and keeps one extremal in-edge per (node,
+kind) key. Within one kind the order is then known, so it places each max
+group among the min groups by a monotone recurrence over the kept edges:
+one bisect per max group, iterated only on the cycles of the kept max
+edges.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Literal
 
 from .classify import compute_tau
@@ -146,71 +151,162 @@ def max_partition(g: LabeledGraph, stats: EngineStats | None = None) -> Partitio
     return partition_from_groups(_engine(transpose_alphabet(g), stats)[::-1])
 
 
+def _group_index(groups: list[list[int]], n: int) -> list[int]:
+    """The index of each node's group."""
+    rank = [0] * n
+    for i, grp in enumerate(groups):
+        for u in grp:
+            rank[u] = i
+    return rank
+
+
 def _union_graph(
-    g: LabeledGraph, min_groups: list[list[int]], max_groups: list[list[int]]
-) -> tuple[tuple[int, ...], list[int]]:
-    """The doubled key graph: one label and one kept in-edge per key.
+    g: LabeledGraph, rank_min: list[int], rank_max: list[int]
+) -> tuple[list[int], list[int]]:
+    """One kept predecessor per key: (f, h).
 
-    Key x < n is (x, min) and key x + n is (x, max); both carry label[x]. A
-    min key keeps the edge from a predecessor of least min rank, a max key
-    the edge from a predecessor of greatest max rank, so following kept
-    edges from a key spells its string. Returns (labels, kept source key).
+    ``f[u]`` is u's predecessor of least min rank and ``h[u]`` its
+    predecessor of greatest max rank, so following f (h) from u spells u's
+    min (max) string. A row is label-sorted and strings start with their
+    label, so only its first (last) label run is scanned when the row holds
+    more than one label.
     """
-    n = g.n
-    rank_min = [0] * n
-    for i, grp in enumerate(min_groups):
-        for u in grp:
-            rank_min[u] = i
-    rank_max = [0] * n
-    for i, grp in enumerate(max_groups):
-        for u in grp:
-            rank_max[u] = i
-    link = [min(ps, key=rank_min.__getitem__) for ps in g.preds]
-    link += [max(ps, key=rank_max.__getitem__) + n for ps in g.preds]
-    return g.label * 2, link
+    label = g.label
+    by_label = label.__getitem__
+    min_key = rank_min.__getitem__
+    max_key = rank_max.__getitem__
+    f: list[int] = []
+    h: list[int] = []
+    for ps in g.preds:
+        if len(ps) == 1:
+            f.append(ps[0])
+            h.append(ps[0])
+            continue
+        first, last = label[ps[0]], label[ps[-1]]
+        if first == last:
+            f.append(min(ps, key=min_key))
+            h.append(max(ps, key=max_key))
+        else:
+            f.append(min(ps[: bisect_right(ps, first, key=by_label)], key=min_key))
+            h.append(max(ps[bisect_left(ps, last, key=by_label) :], key=max_key))
+    return f, h
 
 
-def _joint_ranks(label: tuple[int, ...], link: list[int]) -> list[int]:
-    """Rank every key by the string its kept edges spell (prefix doubling).
+def _interleave(
+    F: list[int], bounds: list[int], H: list[int], c_of: list[int]
+) -> tuple[list[int], list[bool]]:
+    """Place each max group among the min groups: (lo, eq).
 
-    After round k, ``rank`` orders the first 2^k characters and ``jump``
-    maps a key to the key 2^k kept edges further along its string. The
-    first round that splits no class leaves every later round unchanged, so
-    it ends the loop. Each kept-edge chain lies within n keys, so two
-    strings that agree on 2n characters are equal (Fine and Wilf); at most
-    ceil(log2 2n) + 1 rounds run. ``label`` must use every value in
-    0..max(label), as a valid graph's labels do, so every rank lies below
-    the number of classes. Returns dense ranks.
+    ``F[i]`` is the min group of min group i's kept predecessors and
+    ``bounds[c]`` the first min group of label c; F increases on each label's
+    range. Max group j has label ``c_of[j]`` and its kept predecessors in max
+    group ``H[j]``. ``lo[j]``, the number of min groups whose string is below
+    j's, is the least fixpoint of ``lo[j] = bisect_left(F, lo[H[j]],
+    bounds[c], bounds[c + 1])``: iterated from 0, round k counts k-character
+    prefixes. ``eq[j]``, j's string equal to min group lo[j]'s, is the
+    greatest fixpoint of ``eq[j] = eq[H[j]] and F[lo[j]] == lo[H[j]]`` with
+    lo[j] in range.
+
+    H is a functional graph. Its trees are peeled (Kahn); each cycle is
+    swept against its edges until a loop changes nothing, and is equal
+    throughout or nowhere. Then each tree group takes one bisect, nearest
+    the cycle first. A cycle of length L settles within about (n + L) / L +
+    2 loops (Fine and Wilf), so the worst case is O(n^2), the engine's own
+    bound.
     """
-    rank, jump = list(label), link
-    classes = len(set(rank))
-    while True:
-        keys = [r * classes + rank[j] for r, j in zip(rank, jump)]
-        dense = {k: i for i, k in enumerate(sorted(set(keys)))}
-        rank = list(map(dense.__getitem__, keys))
-        if len(dense) == classes:
-            return rank
-        classes = len(dense)
-        jump = list(map(jump.__getitem__, jump))
+    q = len(H)
+    indeg = [0] * q
+    for k in H:
+        indeg[k] += 1
+    peel = [j for j in range(q) if not indeg[j]]
+    for j in peel:  # grows while it is read
+        k = H[j]
+        indeg[k] -= 1
+        if not indeg[k]:
+            peel.append(k)
+
+    lo = [0] * q
+    eq = [True] * q
+    for j0 in range(q):
+        if not indeg[j0]:
+            continue
+        cycle = []
+        k = j0
+        while indeg[k]:  # the groups left unpeeled lie on cycles
+            indeg[k] = 0
+            cycle.append(k)
+            k = H[k]
+        cycle.reverse()  # each group after the one it reads
+        changed = True
+        while changed:
+            changed = False
+            for j in cycle:
+                c = c_of[j]
+                x = bisect_left(F, lo[H[j]], bounds[c], bounds[c + 1])
+                if x != lo[j]:
+                    lo[j] = x
+                    changed = True
+        same = all(
+            lo[j] < bounds[c_of[j] + 1] and F[lo[j]] == lo[H[j]] for j in cycle
+        )
+        for j in cycle:
+            eq[j] = same
+    for j in reversed(peel):
+        c = c_of[j]
+        k = H[j]
+        x = lo[j] = bisect_left(F, lo[k], bounds[c], bounds[c + 1])
+        eq[j] = eq[k] and x < bounds[c + 1] and F[x] == lo[k]
+    return lo, eq
 
 
 def minmax_partition(
     g: LabeledGraph, stats: EngineStats | None = None
 ) -> MinMaxPartition:
-    """Joint ordered partition of all (node, min|max) keys, ascending."""
+    """Joint ordered partition of all (node, min|max) keys, ascending.
+
+    The keys of one min or max group share one string, so the max groups
+    are placed among the min groups (:func:`_interleave`), and a max group
+    equal to a min group joins it.
+    """
     require_valid(g)
     n = g.n
     if n == 0:
         return MinMaxPartition(())
+    label = g.label
     min_groups = _engine(g, stats)
     max_groups = _engine(transpose_alphabet(g), stats)[::-1]
-    rank = _joint_ranks(*_union_graph(g, min_groups, max_groups))
-    # visiting keys node by node lists each group by node, min before max
-    groups: list[list[MinMaxKey]] = [[] for _ in range(max(rank) + 1)]
-    for u in range(n):
-        groups[rank[u]].append(MinMaxKey(u, "min"))
-        groups[rank[u + n]].append(MinMaxKey(u, "max"))
-    return MinMaxPartition(tuple(tuple(grp) for grp in groups))
+    rank_min = _group_index(min_groups, n)
+    rank_max = _group_index(max_groups, n)
+    f, h = _union_graph(g, rank_min, rank_max)
+    c_min = [label[grp[0]] for grp in min_groups]
+    lo, eq = _interleave(
+        [rank_min[f[grp[0]]] for grp in min_groups],
+        [bisect_left(c_min, c) for c in range(g.sigma + 1)],
+        [rank_max[h[grp[0]]] for grp in max_groups],
+        [label[grp[0]] for grp in max_groups],
+    )
+
+    def keys(grp: list[int], kind: str) -> tuple[MinMaxKey, ...]:
+        if len(grp) == 1:
+            return (MinMaxKey(grp[0], kind),)
+        return tuple(MinMaxKey(u, kind) for u in sorted(grp))
+
+    mins = [keys(grp, "min") for grp in min_groups]
+    maxs = [keys(grp, "max") for grp in max_groups]
+    groups: list[tuple[MinMaxKey, ...]] = []
+    i = 0  # the next min group
+    for j, x in enumerate(lo):
+        if i < x:
+            groups += mins[i:x]
+            i = x
+        if not eq[j]:
+            groups.append(maxs[j])
+            continue
+        # by node, min before max: sorted is stable
+        groups.append(tuple(sorted(mins[i] + maxs[j], key=attrgetter("node"))))
+        i += 1
+    groups += mins[i:]
+    return MinMaxPartition(tuple(groups))
 
 
 def reduction_step(

@@ -1,11 +1,11 @@
 """Lift a partition of the recursed tau class back to a partition of all nodes.
 
 Working state is a grid of buckets A[c][t], one per (character, tau class),
-holding integer group ids; a group's members, run height and processed flag
-live in lists indexed by its id. The class that was recursed on and the tau=2
-seeds are prefilled; groups are then processed in string order and each
-processed group emits successor groups into the remaining tau class (the fill
-class), which is built incrementally: the fill successors that one group
+holding integer group ids; a group's members and run height live in lists
+indexed by its id. The class that was recursed on and the tau=2 seeds are
+prefilled; groups are then processed in string order and each processed
+group emits successor groups into the remaining tau class (the fill class),
+which is built incrementally: the fill successors that one group
 reaches are grouped by label as they are placed, whatever the group's size.
 
 The direction of the recursion picks how the fill class is placed:
@@ -14,8 +14,9 @@ The direction of the recursion picks how the fill class is placed:
   is placed once, the first time it is reached, and never moves;
 * direction 1 (descending sweep whose processing order is reversed at the
   end, tau=3 class built) places by run-length heights (psi) with
-  tombstones: a node may be re-placed by a later, better group, and stale
-  placements are skipped when their group is processed.
+  tombstones: a node may be re-placed by a later, better group before its
+  group is processed, and stale placements are skipped when their group is
+  processed.
 
 Either way every node is output exactly once, in a group of nodes with equal
 strings, or :class:`MergeError` is raised.
@@ -84,15 +85,27 @@ def merge_partitions(
     (ascending). With direction 1, ``psi`` must give the run heights of the
     tau=3 nodes, which are placed by the run-length mechanism.
 
-    A group is an integer id into three parallel lists: its members, its run
-    height and whether it has been processed. The buckets hold ids, and
-    ``placed_gid[v]`` is the id of the group that currently holds fill node
-    ``v``; a group's live members are those it still holds. A processed group
-    opens every id from ``base``, the next free id when it starts. It skips a
-    successor ``v`` if ``placed_gid[v] >= first``: marking (``first = 0``)
-    skips every placed node, run-length placement (``first = base``) only the
-    nodes this group placed. ``v`` joins ``open_gid[label[v]]``, the last
-    group opened for its label, if that is ``>= base``, and opens one if not.
+    A group is an integer id into two parallel lists: its members and its
+    run height. The buckets hold ids, and ``placed_gid[v]`` is the id of the
+    group that currently holds fill node ``v``; a group's live members are
+    those it still holds. A processed group opens every id from ``base``,
+    the next free id when it starts. It skips a successor ``v`` if
+    ``placed_gid[v] >= first``: marking (``first = 0``) skips every placed
+    node, run-length placement (``first = base``) only the nodes this group
+    placed. ``v`` joins ``open_gid[label[v]]``, the last group opened for its
+    label, if that is ``>= base``, and opens one if not.
+
+    No node is re-placed after its group was processed. Marking never
+    re-places. Under run-length placement a node ``v`` always lands in a
+    group of height ``psi[v]``, placed either from a greater character's
+    bucket (height 1, before ``v``'s bucket is processed at all) or from a
+    group of height ``psi[v] - 1`` in ``v``'s own fill bucket. The heights
+    in a fill bucket do not decrease in processing order: its height-1
+    groups all exist before it is processed, and a group of height h
+    appends only groups of height h + 1, behind groups of height at most
+    h + 1 (by induction). So every group that can place ``v`` is processed
+    before any group of height ``psi[v]``. A wrong placement of any other
+    kind is caught by the final placed-exactly-once check.
     """
     n = g.n
     sigma = g.sigma
@@ -124,7 +137,6 @@ def merge_partitions(
             members.append(by_label[c])
     nxt = len(members)  # id of the next group
     height = [0] * nxt  # run height (psi) of each group's members
-    done = [False] * nxt  # processed flag
 
     placed_gid = [-1] * n  # current group of each fill node
     open_gid = [-1] * sigma  # last group opened for each label
@@ -146,7 +158,6 @@ def merge_partitions(
             while i < len(lst):
                 gid = lst[i]
                 i += 1
-                done[gid] = True
                 alive = members[gid]
                 if in_fill:
                     if len(alive) == 1:
@@ -173,11 +184,6 @@ def merge_partitions(
                                 continue
                             if psi[v] != (h + 1 if c_k == c_i else 1):
                                 continue
-                            old = placed_gid[v]
-                            if old >= 0 and done[old]:
-                                raise MergeError(
-                                    f"node {v} re-placed after its group was finalized"
-                                )
                         j = open_gid[c_k]
                         if j < base:  # this group has opened none of this label yet
                             j = open_gid[c_k] = nxt
@@ -185,7 +191,6 @@ def merge_partitions(
                             to_fill[c_k].append(j)
                             members.append([v])
                             height.append(h + 1 if c_k == c_i and in_fill else 1)
-                            done.append(False)
                         else:
                             members[j].append(v)
                         placed_gid[v] = j

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from gsa import (
     EngineStats,
     MinMaxKey,
+    MinMaxPartition,
     make_graph,
     max_partition,
     min_partition,
     minmax_partition,
     transpose_alphabet,
 )
-from gsa.driver import _joint_ranks, _union_graph, reduction_step
+from gsa.driver import _group_index, _union_graph, reduction_step
 from gsa.generators import gen
 from gsa.oracle import oracle_minmax, oracle_partition, oracle_prefixes
 
@@ -185,18 +186,26 @@ def test_structured_generators_oracle(kind, k, sigma):
     assert max_partition(g) == oracle_partition(g, "max")
 
 
+def _kept_edges(g):
+    n = g.n
+    rank_min = _group_index(min_partition(g).groups, n)
+    rank_max = _group_index(max_partition(g).groups, n)
+    return _union_graph(g, rank_min, rank_max)
+
+
 def _assert_kept_edges_spell_strings(g):
     n = g.n
-    label, link = _union_graph(g, min_partition(g).groups, max_partition(g).groups)
+    f, h = _kept_edges(g)
     L = 2 * n + 1
-    want = oracle_prefixes(g, "min", L) + oracle_prefixes(g, "max", L)
-    for x in range(2 * n):
-        walk, y = [], x
-        for _ in range(L):
-            walk.append(label[y])
-            y = link[y]
-        assert tuple(walk) == want[x], (g.label, g.preds, x)
-        assert (link[x] < n) == (x < n)
+    for sense, link in (("min", f), ("max", h)):
+        want = oracle_prefixes(g, sense, L)
+        for x in range(n):
+            walk, y = [], x
+            for _ in range(L):
+                walk.append(g.label[y])
+                y = link[y]
+            assert tuple(walk) == want[x], (g.label, g.preds, sense, x)
+            assert link[x] in g.preds[x]
 
 
 def test_union_graph_kept_edges_spell_strings_exhaustively(exhaustive_graphs):
@@ -208,6 +217,97 @@ def test_union_graph_kept_edges_spell_strings_exhaustively(exhaustive_graphs):
 @given(g=generated_graphs())
 def test_union_graph_kept_edges_spell_strings(g):
     _assert_kept_edges_spell_strings(g)
+
+
+def _joint_ranks(label: tuple[int, ...], link: list[int]) -> list[int]:
+    """Rank every key by the string its kept edges spell (prefix doubling).
+
+    The reference for the joint order. After round k, ``rank`` orders the
+    first 2^k characters and ``jump`` maps a key to the key 2^k kept edges
+    further along its string. The first round that splits no class leaves
+    every later round unchanged, so it ends the loop. Each kept-edge chain
+    lies within n keys, so two strings that agree on 2n characters are
+    equal (Fine and Wilf); at most ceil(log2 2n) + 1 rounds run. ``label``
+    must use every value in 0..max(label), as a valid graph's labels do, so
+    every rank lies below the number of classes. Returns dense ranks.
+    """
+    rank, jump = list(label), link
+    classes = len(set(rank))
+    while True:
+        keys = [r * classes + rank[j] for r, j in zip(rank, jump)]
+        dense = {k: i for i, k in enumerate(sorted(set(keys)))}
+        rank = list(map(dense.__getitem__, keys))
+        if len(dense) == classes:
+            return rank
+        classes = len(dense)
+        jump = list(map(jump.__getitem__, jump))
+
+
+def _reference_minmax(g):
+    """The joint partition by prefix doubling over the 2n kept edges: key x
+    < n is (x, min), key x + n is (x, max)."""
+    n = g.n
+    f, h = _kept_edges(g)
+    rank = _joint_ranks(g.label * 2, f + [v + n for v in h])
+    groups = [[] for _ in range(max(rank, default=-1) + 1)]
+    for u in range(n):
+        groups[rank[u]].append(MinMaxKey(u, "min"))
+        groups[rank[u + n]].append(MinMaxKey(u, "max"))
+    return MinMaxPartition(tuple(map(tuple, groups)))
+
+
+def _assert_joint_matches_reference(g):
+    assert minmax_partition(g) == _reference_minmax(g), (g.label, g.preds)
+
+
+def test_joint_order_matches_doubling_exhaustively(exhaustive_graphs):
+    for g in exhaustive_graphs:
+        _assert_joint_matches_reference(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(g=generated_graphs())
+def test_joint_order_matches_doubling(g):
+    _assert_joint_matches_reference(g)
+
+
+def _chains(lengths):
+    """A 0-labelled self-loop feeding one chain per entry k of ``lengths``:
+    chain t has k nodes labelled t and ends in a self-loop labelled t. The
+    self-loop's max string t t t ... lies above all k + 1 min strings of
+    label t, so its one-group cycle of kept max edges climbs past them one
+    per loop."""
+    label, preds = [0], [[0]]
+    for t, k in enumerate(lengths, 1):
+        prev = 0
+        for _ in range(k):
+            label.append(t)
+            preds.append([prev])
+            prev = len(label) - 1
+        label.append(t)
+        preds.append([prev, len(label) - 1])
+    return make_graph(label, preds, sigma=len(lengths) + 1)
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [[0], [1], [2], [7], [300], [3, 3, 3], [5, 1, 9, 2], [40, 120, 80, 60]],
+)
+def test_joint_order_matches_doubling_on_chains_into_loops(lengths):
+    _assert_joint_matches_reference(_chains(lengths))
+
+
+@pytest.mark.parametrize(
+    "kind, n, sigma",
+    [("cycle", 1, 1), ("cycle", 9, 1), ("cycle", 2, 2), ("cycle", 500, 2),
+     ("cycle", 999, 3), ("cycle", 997, 5), ("chain-feeding-sink", 2, 2),
+     ("chain-feeding-sink", 3, 2), ("chain-feeding-sink", 50, 2)],
+)
+def test_joint_order_matches_doubling_on_cycles(kind, n, sigma):
+    """All n max keys of the round-robin cycle lie on one cycle of kept
+    edges; chain-feeding-sink has min = max on every node. The n = 1000
+    cases are in ``test_joint_order_matches_doubling_at_large_n``."""
+    _assert_joint_matches_reference(gen(kind, n, sigma))
 
 
 @st.composite
@@ -247,11 +347,16 @@ def test_joint_ranks_order_first_2m_characters(pg):
     assert _joint_ranks(tuple(label), link) == [dense[w] for w in spelled]
 
 
-@pytest.mark.parametrize(
-    "kind, n, sigma",
-    [("cycle", 1000, 3), ("chain-feeding-sink", 1000, 2), ("debruijn", 2**10, 2),
-     ("random", 2000, 3)],
-)
+LARGE_N = [("cycle", 1000, 3), ("chain-feeding-sink", 1000, 2),
+           ("debruijn", 2**10, 2), ("random", 2000, 3)]
+
+
+@pytest.mark.parametrize("kind, n, sigma", LARGE_N)
+def test_joint_order_matches_doubling_at_large_n(kind, n, sigma):
+    _assert_joint_matches_reference(gen(kind, n, sigma, seed=3, density=0.1))
+
+
+@pytest.mark.parametrize("kind, n, sigma", LARGE_N)
 def test_minmax_order_by_walks_at_large_n(kind, n, sigma):
     """The joint order against 2n-character walks, without the oracle.
 
