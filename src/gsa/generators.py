@@ -41,7 +41,7 @@ def gen(
         if sigma < 1:
             raise ValueError("debruijn needs sigma >= 1")
         size = sigma
-        while size < n:
+        while size < n and sigma > 1:  # the only power of 1 is 1
             size *= sigma
         if size != n or n < sigma:
             raise ValueError(f"debruijn needs n to be a power of sigma, got {n}")

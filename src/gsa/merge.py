@@ -60,10 +60,10 @@ def _run_heights(g: LabeledGraph, active: Sequence[bool]) -> list[int]:
 
     psi[u] = 1 + max psi over active equal-label predecessors, or 1 if there
     are none: :func:`equal_label_heights`. The active nodes are the
-    run-length-placed fill class (the tau=3 nodes of a direction-1 level),
-    whose equal-label chains are acyclic, so the peel reaches every one of
-    them; an active node it leaves at 0 raises :class:`MergeError`. Entries
-    for other nodes are 0.
+    run-length-placed fill class (the tau=3 nodes of a direction-1 level):
+    no smaller-labeled predecessors, as the peel requires, and acyclic
+    equal-label chains, so the peel reaches every one of them; an active
+    node it leaves at 0 raises :class:`MergeError`. Others get 0.
     """
     psi = equal_label_heights(g, active)
     for u in range(g.n):
@@ -106,6 +106,10 @@ def merge_partitions(
     h + 1 (by induction). So every group that can place ``v`` is processed
     before any group of height ``psi[v]``. A wrong placement of any other
     kind is caught by the final placed-exactly-once check.
+
+    Marking never moves a placed node, so a direction-3 merge counts the
+    fill nodes still unplaced; once none is left, later groups are only
+    emitted, and their successor rows are not read.
     """
     n = g.n
     sigma = g.sigma
@@ -139,6 +143,7 @@ def merge_partitions(
     height = [0] * nxt  # run height (psi) of each group's members
 
     placed_gid = [-1] * n  # current group of each fill node
+    left = tau.count(fill) if ascending else -1  # fill nodes left to place; -1: never stop
     open_gid = [-1] * sigma  # last group opened for each label
     out: list[list[int]] = []
     if not ascending and psi is None:
@@ -168,6 +173,8 @@ def merge_partitions(
                         if not alive:
                             continue
                 out.append(alive)
+                if not left:
+                    continue
                 h = height[gid]
                 base = nxt  # every id from base on is opened by this group
                 first = 0 if ascending else base
@@ -194,6 +201,7 @@ def merge_partitions(
                         else:
                             members[j].append(v)
                         placed_gid[v] = j
+                        left -= 1
 
     if not ascending:
         out.reverse()

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsa import LabeledGraph, make_graph, transpose_alphabet
-from gsa.classify import compute_tau
+from gsa.classify import compute_tau, equal_label_heights
 from gsa.generators import gen
 from gsa.merge import _run_heights
 from gsa.oracle import oracle_partition, oracle_prefixes
@@ -27,6 +28,57 @@ def tau_invariant_violations(g: LabeledGraph, tau: Sequence[int]) -> list[str]:
             if g.label[u] == g.label[v] and tau[u] == 1 and tau[v] != 1:
                 bad.append(f"edge ({u},{v}): equal-label tau=1 pred but tau[v]={tau[v]}")
     return bad
+
+
+def _equal_label_heights_scanning(g: LabeledGraph, active: Sequence[bool]) -> list[int]:
+    """Reference peel that reads the whole successor row of every active node."""
+    n, label, succs = g.n, g.label, g.succs
+    indeg = [0] * n
+    for u in range(n):
+        if active[u]:
+            for v in succs[u]:
+                if label[v] == label[u] and active[v]:
+                    indeg[v] += 1
+    h = [0] * n
+    queue = [v for v in range(n) if active[v] and not indeg[v]]
+    for u in queue:
+        h[u] += 1
+        for v in succs[u]:
+            if label[v] == label[u] and active[v]:
+                h[v] = max(h[v], h[u])
+                indeg[v] -= 1
+                if not indeg[v]:
+                    queue.append(v)
+    return [0 if d else x for x, d in zip(h, indeg)]
+
+
+def _compute_tau_scanning(g: LabeledGraph) -> list[int]:
+    """Reference tau that spreads tau=1 along whole successor rows."""
+    n, label, preds, succs = g.n, g.label, g.preds, g.succs
+    one = [False] * n
+    queue = [v for v in range(n) if preds[v] and label[preds[v][0]] < label[v]]
+    for v in queue:
+        one[v] = True
+    for u in queue:
+        for v in succs[u]:
+            if label[v] == label[u] and not one[v]:
+                one[v] = True
+                queue.append(v)
+    h = _equal_label_heights_scanning(g, [not x for x in one])
+    return [1 if one[u] else 3 if h[u] else 2 for u in range(n)]
+
+
+class _UnreadableRows(Sequence):
+    """A stand-in for ``succs`` that fails on any read."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        raise AssertionError(f"successor row {i} read")
 
 
 def test_fig_graph_tau(fig_graph):
@@ -52,6 +104,13 @@ def test_chain_into_larger_is_three():
     # head self-loop label 1, chain labeled 0: minima 0^k 1^ω
     g = gen("chain-feeding-sink", 5, 2)
     assert compute_tau(g) == [2, 3, 3, 3, 3]
+
+
+def test_equal_label_heights_skip_inactive_predecessors():
+    # an equal-label 3-cycle with node 0 left out is the chain 1 -> 2
+    g = make_graph([0, 0, 0], [[2], [0], [1]], sigma=1)
+    assert equal_label_heights(g, [False, True, True]) == [0, 1, 2]
+    assert equal_label_heights(g, [True, True, True]) == [0, 0, 0]
 
 
 def tau_from_oracle(g) -> list[int]:
@@ -124,27 +183,34 @@ def test_tau_matches_oracle_on_generators(g):
 
 
 @pytest.mark.parametrize(
-    "kind, n, sigma",
+    "kind, n, sigma, density",
     [
-        ("random", 10_000, 4),
-        ("random", 2_000, 50),
-        ("cycle", 10_000, 3),
-        ("debruijn", 2**13, 2),
-        ("debruijn", 3**7, 3),
-        ("chain-feeding-sink", 10_000, 2),
+        pytest.param("random", 10_000, 4, 0.3, id="random-10000-4"),
+        pytest.param("random", 2_000, 50, 0.3, id="random-2000-50"),
+        pytest.param("random", 1_000, 200, 0.5, id="random-1000-200-dense"),
+        pytest.param("cycle", 10_000, 3, 0.3, id="cycle-10000-3"),
+        pytest.param("debruijn", 2**13, 2, 0.3, id="debruijn-8192-2"),
+        pytest.param("debruijn", 3**7, 3, 0.3, id="debruijn-2187-3"),
+        pytest.param("chain-feeding-sink", 10_000, 2, 0.3, id="chain-feeding-sink-10000-2"),
     ],
 )
-def test_tau_and_psi_local_recurrence_at_scale(kind, n, sigma):
+def test_tau_and_psi_local_recurrence_at_scale(kind, n, sigma, density):
     # too large for the oracle: check the recurrences that define tau 2 and
     # 3 and psi, node by node. A tau=2 node has a tau=2 equal-label
     # predecessor, so its backward walk never ends; a tau=3 node's equal-
     # label predecessors are tau=3 with a psi at least one lower, so its walk
-    # is acyclic.
-    g0 = gen(kind, n, sigma, seed=5, density=0.3)
+    # is acyclic. Tau and psi are computed on a copy of the graph whose
+    # successor rows cannot be read, and equal the successor-scanning
+    # reference.
+    g0 = gen(kind, n, sigma, seed=5, density=density)
     for g in (g0, transpose_alphabet(g0)):
-        tau = compute_tau(g)
+        blind = replace(g, succs=_UnreadableRows(g.n))
+        tau = compute_tau(blind)
+        assert tau == _compute_tau_scanning(g)
         assert tau_invariant_violations(g, tau) == []
-        psi = _run_heights(g, [t == 3 for t in tau])
+        active = [t == 3 for t in tau]
+        psi = _run_heights(blind, active)
+        assert psi == _equal_label_heights_scanning(g, active)
         for v in range(g.n):
             eq = [p for p in g.preds[v] if g.label[p] == g.label[v]]
             if tau[v] == 2:
@@ -154,3 +220,4 @@ def test_tau_and_psi_local_recurrence_at_scale(kind, n, sigma):
                 assert psi[v] == 1 + max([psi[p] for p in eq], default=0), v
             else:
                 assert psi[v] == 0, v
+

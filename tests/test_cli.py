@@ -164,6 +164,13 @@ def test_gen_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_gen_debruijn_sigma_one_is_a_usage_error(capsys):
+    # the only power of 1 is 1, so the size search must stop, not spin
+    assert main(["gen", "--kind", "debruijn", "-n", "2", "--sigma", "1"]) == EXIT_USAGE
+    assert "power of sigma" in capsys.readouterr().err
+    assert main(["gen", "--kind", "debruijn", "-n", "1", "--sigma", "1"]) == EXIT_OK
+
+
 def test_bench_needs_three_sizes(capsys):
     assert main(["bench", "--sizes", "100,200"]) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err

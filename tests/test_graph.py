@@ -217,6 +217,13 @@ def test_roundtrip_random(n, sigma, seed):
     assert parse_graph(format_graph(g)) == g
 
 
+def test_debruijn_on_one_character_has_one_node():
+    assert gen("debruijn", 1, 1) == make_graph([0], [[0]], sigma=1)
+    for n in (2, 3, 8):
+        with pytest.raises(ValueError, match="power of sigma"):
+            gen("debruijn", n, 1)
+
+
 def _sample_graph(kind, n, sigma, seed):
     if kind == "debruijn":
         return gen(kind, sigma ** max(1, n.bit_length() // sigma), sigma)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -377,14 +378,48 @@ def test_merge_matches_group_objects_on_multi_node_groups(kind, n, sigma, copies
 
 
 @pytest.mark.parametrize(
-    "kind, n, sigma, copies", [("random", 2500, 4, 4), ("cycle", 9999, 3, 1)]
+    "kind, n, sigma, copies, density",
+    [
+        pytest.param("random", 2500, 4, 4, 0.1, id="random-2500-4-4"),
+        pytest.param("random", 1000, 200, 2, 0.5, id="random-1000-200-2-dense"),
+        pytest.param("cycle", 9999, 3, 1, 0.1, id="cycle-9999-3-1"),
+    ],
 )
-def test_merge_matches_group_objects_at_scale(kind, n, sigma, copies):
+def test_merge_matches_group_objects_at_scale(kind, n, sigma, copies, density):
     # too large for the oracle; the engine's partition stands in for it
-    g = _disjoint_copies(gen(kind, n, sigma, seed=3), copies)
+    g = _disjoint_copies(gen(kind, n, sigma, seed=3, density=density), copies)
     truth = min_partition(g)
     assert min(map(len, truth.groups)) > 1
     assert _assert_merge_matches_group_objects(g, truth) > 1
+
+
+class _CountingRows(Sequence):
+    """A stand-in for ``succs`` that counts the rows read."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.rows[i]
+
+
+def test_marking_merge_stops_reading_once_every_fill_node_is_placed():
+    # dense: every tau=1 node has many smaller-labeled predecessors, and the
+    # first one processed places it, so all are placed after a few groups
+    # and the later groups read no successor row
+    g = gen("random", 1000, 200, seed=3, density=0.5)
+    tau = compute_tau(g)
+    groups = [[u for u in grp if tau[u] == 3] for grp in min_partition(g).groups]
+    class_groups = [grp for grp in groups if grp]
+    rows = _CountingRows(g.succs)
+    out = merge_partitions(replace(g, succs=rows), tau, class_groups, 3)
+    assert out == _merge_with_group_objects(g, tau, class_groups, 3)
+    assert 0 < rows.reads < len(out) // 4
 
 
 def test_merge_requires_psi_for_direction_1(fig_graph):
