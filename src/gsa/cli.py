@@ -43,7 +43,11 @@ EXIT_ASSERT = 3
 
 
 def _load(path: str) -> LabeledGraph:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise GraphFormatError(f"{path}: not UTF-8 at byte {e.start} ({e.reason})") from e
+    return parse_graph(text)
 
 
 def _print_partition(p: Partition, as_json: bool) -> None:

@@ -10,10 +10,9 @@ are a derived index.
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -271,6 +270,27 @@ def trim_for_kinds(g: LabeledGraph, tau: Sequence[int]) -> LabeledGraph:
 
 
 HEADER_PREFIX = "gsa-graph v1"
+# how many characters of the text parse_graph splits into lines at a time;
+# a chunk runs on to the end of the line it reaches, so no line spans two
+_CHUNK = 1 << 16
+
+
+def _line_chunks(text: str) -> Iterator[list[str]]:
+    """The lines of ``text`` without their ends, one list per chunk.
+
+    ``\\r\\n`` and ``\\r`` are first rewritten to ``\\n``, in one copy made
+    only when ``text`` holds a ``\\r``; then only ``\\n`` ends a line. Unlike
+    ``str.splitlines``, no other character (``\\f``, ``\\x85``, ...) does.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", min(start + _CHUNK, end) - 1)
+        if stop < 0:  # the last line has no end
+            stop = end
+        yield text[start:stop].split("\n")
+        start = stop + 1
 
 
 def parse_graph(text: str) -> LabeledGraph:
@@ -279,12 +299,17 @@ def parse_graph(text: str) -> LabeledGraph:
     Header ``gsa-graph v1 <n> <sigma>``, then one ``u<TAB>v<TAB>c`` line per
     edge where c must equal the label of v. Lines starting with ``#`` are
     comments. Rejects inconsistent labels. Only ``\\n``, ``\\r\\n`` and ``\\r``
-    end a line. Lines are read one at a time, and per-node arrays are
-    allocated only after the last edge line; they cost about 85 bytes per
-    header node, whether or not the file holds edges for it.
+    end a line.
+
+    Lines are split from ``text`` itself, 64 Ki characters at a time; the
+    whole text is copied once, at its own size, only when it holds a
+    ``\\r``. A parse peaks at about one byte per character above the text
+    and the graph it returns. Per-node arrays are allocated only after the
+    last edge line; they cost about 85 bytes per header node, whether or
+    not the file holds edges for it.
     """
-    lines = io.StringIO(text, newline=None)
-    first = next((ln for ln in lines if ln[0] not in "#\n"), "").rstrip("\n")
+    lines = chain.from_iterable(_line_chunks(text))
+    first = next((ln for ln in lines if ln and ln[0] != "#"), "")
     if not first:
         raise GraphFormatError("empty graph file")
     head = first.split()
@@ -305,16 +330,14 @@ def parse_graph(text: str) -> LabeledGraph:
     canon: dict[int, int] = {}  # one int object per target id
     succ: defaultdict[int, list[int]] = defaultdict(list)
     for ln in lines:
-        # a trailing newline lands in the last field, which int() ignores;
         # blank and comment lines fail to split and are skipped here
         try:
             a, b, z = ln.split("\t")
             u, v, c = int(a), int(b), int(z)
         except ValueError as e:
-            if ln[0] in "#\n":
+            if not ln or ln[0] == "#":
                 continue
-            bad = ln.rstrip("\n")
-            raise GraphFormatError(f"bad edge line: {bad!r}") from e
+            raise GraphFormatError(f"bad edge line: {ln!r}") from e
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"edge ({u},{v}) out of range")
         if not 0 <= c < sigma:
@@ -338,10 +361,13 @@ def parse_graph(text: str) -> LabeledGraph:
 def format_graph(g: LabeledGraph) -> str:
     """Serialize to the TSV file format; inverse of :func:`parse_graph`.
 
-    Edges are written by target, and by source id within a target.
+    Edges are written by target, and by source id within a target. Each
+    target's lines are built as one string: every line of a row ends in the
+    same ``<TAB>v<TAB>c`` tail.
     """
-    out = [f"{HEADER_PREFIX} {g.n} {g.sigma}"]
+    out = [f"{HEADER_PREFIX} {g.n} {g.sigma}\n"]
     for v, ps in enumerate(g.preds):
-        for u in sorted(ps):
-            out.append(f"{u}\t{v}\t{g.label[v]}")
-    return "\n".join(out) + "\n"
+        if ps:
+            tail = f"\t{v}\t{g.label[v]}\n"
+            out.append(tail.join(map(str, sorted(ps))) + tail)
+    return "".join(out)

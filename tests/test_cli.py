@@ -205,3 +205,12 @@ def test_bench_small_run(capsys):
 def test_missing_file_is_invalid(capsys):
     assert main(["min", "/nonexistent/graph.tsv"]) == EXIT_INVALID
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["validate", "min"])
+def test_file_that_is_not_utf8_is_invalid(cmd, tmp_path, capsys):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(b"# caf\xe9\ngsa-graph v1 1 1\n0\t0\t0\n")
+    assert main([cmd, str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path}: not UTF-8 at byte 5" in err

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import io
+import random
+import re
 import tracemalloc
+from collections import defaultdict
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -20,8 +25,14 @@ from gsa import (
     validate,
 )
 from gsa.classify import compute_tau
-from gsa.generators import gen
-from gsa.graph import InvalidGraphError, trim_for_kinds
+from gsa.generators import KINDS, gen
+from gsa.graph import (
+    HEADER_PREFIX,
+    InvalidGraphError,
+    _assemble,
+    _line_chunks,
+    trim_for_kinds,
+)
 from gsa.oracle import oracle_prefixes
 
 from conftest import FIG_LABELS, FIG_PREDS, small_corpus
@@ -207,6 +218,122 @@ def test_parse_line_ends():
         parse_graph(text.replace("0\n0", "0\f0"))
 
 
+def _parse_graph_stringio(text):
+    """Reference parser: lines come from ``io.StringIO(text, newline=None)``
+    and keep their ``\\n``; every check and message is parse_graph's."""
+    lines = io.StringIO(text, newline=None)
+    first = next((ln for ln in lines if ln[0] not in "#\n"), "").rstrip("\n")
+    if not first:
+        raise GraphFormatError("empty graph file")
+    head = first.split()
+    if len(head) != 4 or " ".join(head[:2]) != HEADER_PREFIX:
+        raise GraphFormatError(f"bad header: {first!r}")
+    try:
+        n, sigma = int(head[2]), int(head[3])
+    except ValueError as e:
+        raise GraphFormatError(f"bad header numbers: {first!r}") from e
+    if n < 0 or sigma < 0:
+        raise GraphFormatError("negative n or sigma")
+    if n > len(text):
+        raise GraphFormatError(
+            f"header claims {n} nodes in a file of {len(text)} characters"
+        )
+    labels, canon, succ = {}, {}, defaultdict(list)
+    for ln in lines:
+        try:
+            a, b, z = ln.split("\t")
+            u, v, c = int(a), int(b), int(z)
+        except ValueError as e:
+            if ln[0] in "#\n":
+                continue
+            bad = ln.rstrip("\n")
+            raise GraphFormatError(f"bad edge line: {bad!r}") from e
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge ({u},{v}) out of range")
+        if not 0 <= c < sigma:
+            raise GraphFormatError(f"char {c} out of range")
+        old = labels.setdefault(v, c)
+        if old != c:
+            raise GraphFormatError(f"node {v} has inconsistent labels {old} and {c}")
+        succ[u].append(canon.setdefault(v, v))
+    for row in succ.values():
+        row.sort()
+    ids = [canon.get(i, i) for i in range(n)]
+    return _assemble(
+        tuple([labels.get(v, 0) for v in ids]),
+        [succ.get(u, ()) for u in ids],
+        [[] if v in labels else () for v in ids],
+        ids,
+        sigma,
+    )
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as e:
+        return f"GraphFormatError: {e}"
+
+
+def _assert_parses_like_stringio(text):
+    lines = list(chain.from_iterable(_line_chunks(text)))
+    assert lines == [ln.removesuffix("\n") for ln in io.StringIO(text, newline=None)]
+    assert _outcome(parse_graph, text) == _outcome(_parse_graph_stringio, text)
+
+
+# line ends, the characters str.splitlines also breaks at, and field content
+_ATOMS = [*"0123456789", "\t", " ", "#", "\n", "\r", "\r\n", "\f", "\v", "\x1c",
+          "\x85", "\u2028"]
+
+
+def _random_text(rng):
+    """A header, then lines of atoms or edges over n = 4 and sigma = 3 (and
+    one out of range), so some texts parse and the others fail each check."""
+    ends = ["\n", "\r", "\r\n", "\f", ""]
+    head = rng.choices(["gsa-graph v1 4 3", "gsa-graph v1 4 x", "gsa v1 4 3"], [8, 1, 1])[0]
+    lines = [rng.choice(["", "\n", "# c\r\n", " "]), head]
+    for _ in range(rng.randrange(8)):
+        lines.append(rng.choices(ends, [3, 3, 3, 1, 1])[0])
+        if rng.random() < 0.7:
+            lines.append("\t".join(rng.choices("012234", k=3)))
+        else:
+            lines.append("".join(rng.choices(_ATOMS, k=rng.randrange(6))))
+    lines.append(rng.choice(ends))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+def test_parse_matches_stringio_reader_on_random_texts(chunk, monkeypatch):
+    monkeypatch.setattr(gsa.graph, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for _ in range(3000):
+        _assert_parses_like_stringio(_random_text(rng))
+    # the empty text, blank texts, and last lines without a line end
+    for text in ["", "\n", "\r\n", "gsa-graph v1 2 1\n0\t1\t0\n1\t0\t0",
+                 "gsa-graph v1 2 1\r1\t0\t0\r0\t1\t0", "gsa-graph v1 1 1\r\n0\t0\tx"]:
+        _assert_parses_like_stringio(text)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1, 2])
+def test_parse_matches_stringio_reader_across_a_chunk_boundary(shift):
+    # a comment after the header whose \r\n sits at the end of the first
+    # chunk: straddling it in the text as given (shift 0), and ending it once
+    # \r\n becomes \n (shift 1); a bad line follows the comment
+    chunk = gsa.graph._CHUNK
+    crlf = format_graph(gen("random", 600, 150, seed=3, density=0.5)).replace("\n", "\r\n")
+    h = crlf.index("\n") + 1
+    comment = "#" + "x" * (chunk - 2 + shift - h) + "\r\n"
+    text = crlf[:h] + comment + crlf[h:]
+    assert text[chunk - 1 + shift:chunk + 1 + shift] == "\r\n"
+    assert len(text) > 2 * chunk
+    assert parse_graph(text) == parse_graph(crlf)
+    _assert_parses_like_stringio(text)
+    bad = crlf[:h] + comment + "7\tq\t1\r\n" + crlf[h:]
+    _assert_parses_like_stringio(bad)
+    with pytest.raises(GraphFormatError, match=re.escape(repr("7\tq\t1"))):
+        parse_graph(bad)
+
+
 @given(
     n=st.integers(1, 10),
     sigma=st.integers(1, 3),
@@ -353,3 +480,40 @@ def test_parse_and_validate_memory_on_a_file_without_edges():
     assert [v for v in rep.violations if v[0] == "in-degree"] == [
         ("in-degree", "node 0", "199900 of 199900 nodes have no predecessor")
     ]
+
+
+def _format_graph_per_edge(g):
+    """Reference formatter: one f-string per edge."""
+    out = [f"{HEADER_PREFIX} {g.n} {g.sigma}"]
+    for v, ps in enumerate(g.preds):
+        for u in sorted(ps):
+            out.append(f"{u}\t{v}\t{g.label[v]}")
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n,sigma", [(1, 1), (9, 3), (64, 4), (300, 20)])
+def test_format_graph_matches_per_edge_formatter(kind, n, sigma):
+    g = _sample_graph(kind, n, sigma, seed=n)
+    assert format_graph(g) == _format_graph_per_edge(g)
+
+
+def test_format_graph_without_edges():
+    for g in (make_graph([], []), parse_graph("gsa-graph v1 3 2\n1\t1\t1\n")):
+        assert format_graph(g) == _format_graph_per_edge(g)
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+def test_parse_memory_beyond_the_text_and_graph(line_end):
+    # reading lines must not copy the text at more than a byte per character
+    text = format_graph(gen("random", 600, 150, seed=3, density=0.5))
+    assert len(text) == 490_582
+    text = text.replace("\n", line_end)
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == 600
+    assert (peak - kept) / len(text) < 2
