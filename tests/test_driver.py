@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsa import (
     EngineStats,
+    InvalidGraphError,
     MinMaxKey,
     MinMaxPartition,
     make_graph,
@@ -16,14 +20,17 @@ from gsa import (
     minmax_partition,
     transpose_alphabet,
 )
+import gsa.driver
 from gsa.driver import _group_index, _union_graph, reduction_step
 from gsa.generators import gen
 from gsa.oracle import oracle_minmax, oracle_partition, oracle_prefixes
 
 from conftest import (
+    FIG_LABELS,
     FIG_MAX_GROUPS,
     FIG_MIN_GROUPS,
     FIG_MINMAX,
+    FIG_PREDS,
     generated_graphs,
     random_corpus,
 )
@@ -387,3 +394,110 @@ def test_minmax_order_by_walks_at_large_n(kind, n, sigma):
         assert all(compare(grp[0], y) == 0 for y in grp[1:])
     for a, b in zip(keys, keys[1:]):
         assert compare(a[0], b[0]) < 0
+
+
+# Oracle equivalence where the recursion is deep: (graph, depth per call kind).
+# The oracle needs about as many rounds as the longest shared prefix of two
+# distinct strings, which is short on these graphs; oracle_minmax at
+# density 0.3 takes seconds, so minmax is checked at density 0.12 and on
+# de Bruijn.
+DEEP = {
+    "random-20000-4-d.3-s1": (("random", 20000, 4, 1, 0.3), {"min": 9, "max": 8}),
+    "random-20000-4-d.12-s1": (
+        ("random", 20000, 4, 1, 0.12), {"min": 8, "max": 8, "minmax": 16}
+    ),
+    "random-20000-4-d.3-s2": (("random", 20000, 4, 2, 0.3), {"min": 9}),
+    "debruijn-8192": (("debruijn", 2**13, 2, 0, 0.1), {"min": 5, "max": 5, "minmax": 10}),
+}
+
+
+@cache
+def _deep_graph(name):
+    return gen(*DEEP[name][0])
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [(name, kind) for name, (_args, depths) in DEEP.items() for kind in depths],
+)
+def test_matches_oracle_at_depth(name, kind):
+    """EngineStats.depth is asserted so that the check keeps its depth if the
+    generator changes. A minmax call records the min run and then the max
+    run, so its depth is the sum of both."""
+    g = _deep_graph(name)
+    stats = EngineStats()
+    if kind == "minmax":
+        assert minmax_partition(g, stats=stats) == oracle_minmax(g)
+    else:
+        part = min_partition if kind == "min" else max_partition
+        assert part(g, stats=stats) == oracle_partition(g, kind)
+    assert stats.depth == DEEP[name][1][kind]
+
+
+# The three entry points pause the cyclic collector; these graphs back the
+# premise that a call leaves no cyclic garbage for it to find.
+GC_GRAPHS = {
+    "fig": lambda: make_graph(FIG_LABELS, FIG_PREDS, sigma=4),
+    "random-400-4": lambda: gen("random", 400, 4, seed=1, density=0.3),
+    "random-2000-4": lambda: gen("random", 2000, 4, seed=2, density=0.3),
+    "random-2000-120": lambda: gen("random", 2000, 120, seed=3, density=0.1),
+    "cycle-600-3": lambda: gen("cycle", 600, 3),
+    "debruijn-1024-2": lambda: gen("debruijn", 2**10, 2),
+    "debruijn-729-3": lambda: gen("debruijn", 3**6, 3),
+    "chain-feeding-sink-500": lambda: gen("chain-feeding-sink", 500, 2),
+}
+PARTITIONS = {"min": min_partition, "max": max_partition, "minmax": minmax_partition}
+
+
+def _set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def collector_state():
+    """Put the collector back as it was, whatever the test does to it."""
+    was = gc.isenabled()
+    yield
+    _set_collector(was)
+
+
+@pytest.mark.parametrize("name", GC_GRAPHS)
+def test_calls_leave_no_cyclic_garbage(name, collector_state):
+    g = GC_GRAPHS[name]()
+    for kind, part in PARTITIONS.items():
+        gc.collect()
+        gc.disable()
+        part(g)  # the result is dropped at once
+        assert gc.collect() == 0, kind
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("kind", PARTITIONS)
+def test_collector_paused_during_a_call_and_restored(
+    kind, enabled, fig_graph, collector_state, monkeypatch
+):
+    seen = []
+    engine = gsa.driver._engine
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return engine(*args)
+
+    monkeypatch.setattr(gsa.driver, "_engine", recording)
+    _set_collector(enabled)
+    PARTITIONS[kind](fig_graph)
+    assert seen and not any(seen)
+    assert gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("kind", PARTITIONS)
+def test_collector_restored_after_invalid_graph(kind, enabled, collector_state):
+    g = make_graph([0, 0], [[0, 1], []])
+    _set_collector(enabled)
+    with pytest.raises(InvalidGraphError):
+        PARTITIONS[kind](g)
+    assert gc.isenabled() == enabled
