@@ -1,10 +1,10 @@
 """Recursive computation of min-, max-, and joint min/max-partitions.
 
 The engine sorts nodes by their minimum strings: classify the nodes, pick
-the smaller of the tau=1 / tau=3 classes, trim, explore each class node,
-recurse on the reduced graph, and merge the recursed partition back. The
-recursed class never exceeds half the nodes, so the recursion depth is
-O(log n) and total work is quadratic.
+the smaller of the tau=1 / tau=3 classes, trim each row to its least-label
+run, explore each class node, recurse on the reduced graph, and merge the
+recursed partition back. The recursed class never exceeds half the nodes,
+so the recursion depth is O(log n) and total work is quadratic.
 
 The maximum strings of g are the minimum strings of g with its character
 order flipped, so ``max_partition`` runs the same engine on
@@ -79,6 +79,8 @@ class LevelStats:
     n3: int
     direction: int
     reduced_n: int
+    m: int  # edges into the level
+    kept: int  # edges after the trim
 
 
 @dataclass
@@ -118,7 +120,8 @@ def _level(
 ]:
     """One classify-trim-explore-reduce step of the recursion.
 
-    Returns (tau, n1, n3, direction, trimmed graph, exploration records,
+    Explores and reduces on the trimmed graph, which keeps every minimum
+    string and tau. Returns (tau, n1, n3, direction, trimmed graph, records,
     reduced graph or None when the class recursed on is empty).
     """
     n = g.n
@@ -126,7 +129,7 @@ def _level(
     n1 = tau.count(1)
     n3 = tau.count(3)
     direction = 3 if n3 == 0 or (n1 > 0 and n3 <= n1) else 1
-    gt = trim_for_kinds(g, tau)
+    gt = trim_for_kinds(g)
     class_nodes = [u for u in range(n) if tau[u] == direction]
     if not class_nodes:
         return tau, n1, n3, direction, gt, [], None
@@ -160,7 +163,8 @@ def _engine(g: LabeledGraph, stats: EngineStats | None) -> list[list[int]]:
         reduced_n = rg.graph.n
 
     if stats is not None:
-        stats.levels.append(LevelStats(n, n1, n3, direction, reduced_n))
+        m, kept = g.edge_count(), gt.edge_count()
+        stats.levels.append(LevelStats(n, n1, n3, direction, reduced_n, m, kept))
 
     # direction 1 places the tau=3 nodes by run heights
     psi = _run_heights(gt, [t == 3 for t in tau]) if direction == 1 else None
@@ -346,7 +350,7 @@ def reduction_step(
     """One classify-trim-reduce step in the min sense, for inspection.
 
     Returns (tau, direction, reduced graph or None when the chosen class is
-    empty). This is what the first level of min_partition does internally.
+    empty). It is min_partition's first level, least-label trim included.
     """
     require_valid(g)
     tau, _n1, _n3, direction, _gt, _records, rg = _level(g)

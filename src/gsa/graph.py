@@ -245,23 +245,22 @@ def transpose_alphabet(g: LabeledGraph) -> LabeledGraph:
     )
 
 
-def trim_for_kinds(g: LabeledGraph, tau: Sequence[int]) -> LabeledGraph:
-    """Remove the edges that can never carry the minimum string of their target.
+def trim_for_kinds(g: LabeledGraph) -> LabeledGraph:
+    """Keep in each row only its leading run of the least label in the row.
 
-    When tau[v] = 1, drop every edge (u,v) with label[u] > label[v]. The
-    minimum string of every node, and therefore tau, is unchanged, and the
-    result still satisfies all graph invariants; in particular all
-    in-degrees stay >= 1. Rows are in label order, so each trimmed row is a
-    prefix of the input row. Returns ``g`` itself when nothing is dropped.
-    The name is kept because perfbench/tracer.py patches it.
+    v's minimum string is label(v) followed by the least minimum string of
+    its predecessors, each of which begins with its source's label, so only
+    that run can carry it. Every node keeps its minimum string and tau, and
+    the result still satisfies all graph invariants. Returns ``g`` itself
+    when every row holds one label. The name is kept because
+    perfbench/tracer.py patches it.
     """
     label = g.label
     key = label.__getitem__
     rows = list(g.preds)
     for v, ps in enumerate(rows):
-        lv = label[v]
-        if tau[v] == 1 and label[ps[-1]] > lv:
-            rows[v] = ps[: bisect_right(ps, lv, key=key)]
+        if ps and label[ps[0]] != label[ps[-1]]:
+            rows[v] = ps[: bisect_right(ps, label[ps[0]], key=key)]
     preds = tuple(rows)
     if preds == g.preds:  # identity-equal rows compare in O(1) each
         return g

@@ -120,13 +120,13 @@ def test_criterion_4_structural_properties(capsys):
     for g in exhaustive + rnd:
         tau = compute_tau(g)
         L = g.n + 2
-        gt = trim_for_kinds(g, tau)
+        gt = trim_for_kinds(g)
         ok = ok and oracle_prefixes(gt, "min", L) == oracle_prefixes(g, "min", L)
 
     # exploration prefix correctness and the order-preservation theorem
     for g in exhaustive:
         tau = compute_tau(g)
-        gt = trim_for_kinds(g, tau)
+        gt = trim_for_kinds(g)
         rows = oracle_prefixes(g, "min", g.n + 2)
         sc = ExplorationScratch(g.n)
         recs3 = []

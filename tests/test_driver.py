@@ -23,6 +23,7 @@ from gsa import (
 import gsa.driver
 from gsa.driver import _group_index, _union_graph, reduction_step
 from gsa.generators import gen
+from gsa.graph import trim_for_kinds
 from gsa.oracle import oracle_minmax, oracle_partition, oracle_prefixes
 
 from conftest import (
@@ -136,6 +137,23 @@ def test_depth_logarithmic():
     stats = EngineStats()
     min_partition(g, stats=stats)
     assert stats.depth <= 2 * 10  # 2 * log2(512) + slack
+
+
+def test_level_stats_count_edges_before_and_after_the_trim(fig_graph):
+    # levels are recorded deepest first, so the top level comes last; the
+    # fig graph's top level drops the edges (4,4) and (3,5)
+    stats = EngineStats()
+    min_partition(fig_graph, stats=stats)
+    top = stats.levels[-1]
+    assert (top.n, top.m, top.kept) == (7, 10, 8)
+    g = gen("random", 400, 6, seed=3, density=0.5)
+    for part, h in ((min_partition, g), (max_partition, transpose_alphabet(g))):
+        stats = EngineStats()
+        part(g, stats=stats)
+        top = stats.levels[-1]
+        assert top.m == h.edge_count()
+        assert top.kept == trim_for_kinds(h).edge_count() < top.m
+        assert all(0 < lv.kept <= lv.m for lv in stats.levels)
 
 
 def test_reduction_step_fig(fig_graph):

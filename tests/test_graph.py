@@ -140,9 +140,30 @@ def test_transpose_involution(n, sigma, seed):
     assert transpose_alphabet(transpose_alphabet(g)) == g
 
 
-def test_trim_fig_graph_unchanged(fig_graph):
-    tau = compute_tau(fig_graph)
-    assert trim_for_kinds(fig_graph, tau) == fig_graph
+def _trim_tau1(g, tau):
+    """The paper's trim, kept as the reference: a tau=1 node drops its edges
+    from greater-labeled sources; every other row is kept whole."""
+    label = g.label
+    rows = [
+        [u for u in ps if label[u] <= label[v]] if tau[v] == 1 else ps
+        for v, ps in enumerate(g.preds)
+    ]
+    return make_graph(label, rows, sigma=g.sigma)
+
+
+def _edges(g):
+    return {(u, v) for v, ps in enumerate(g.preds) for u in ps}
+
+
+def test_trim_fig_graph_keeps_least_label_runs(fig_graph):
+    # nodes 4 and 5 lose their edges from the greater-labeled 4 and 3; the
+    # tau=1 trim drops nothing here, since node 5 is tau=3 and node 4's
+    # sources are labeled at most 3
+    gt = trim_for_kinds(fig_graph)
+    assert gt.preds == ((0,), (0,), (0,), (0,), (1,), (2,), (3, 6))
+    assert gt.succs == ((0, 1, 2, 3), (4,), (5,), (6,), (), (), (6,))
+    assert validate(gt).ok
+    assert _trim_tau1(fig_graph, compute_tau(fig_graph)) == fig_graph
 
 
 def test_trim_removes_witness_edge():
@@ -154,7 +175,7 @@ def test_trim_removes_witness_edge():
     assert validate(g).ok
     tau = compute_tau(g)
     assert tau[1] == 1
-    gt = trim_for_kinds(g, tau)
+    gt = trim_for_kinds(g)
     assert 2 not in gt.preds[1]
     L = g.n + 2
     assert oracle_prefixes(gt, "min", L) == oracle_prefixes(g, "min", L)
@@ -164,19 +185,45 @@ def test_trim_all_tau2_unchanged():
     g = make_graph([0, 0, 0], [[2], [0], [1]], sigma=1)
     tau = compute_tau(g)
     assert tau == [2, 2, 2]
-    assert trim_for_kinds(g, tau) == g
+    assert trim_for_kinds(g) == g
 
 
 def test_trim_preserves_minima_exhaustively():
+    # the least-label trim keeps a subset of the paper's trim's edges, and
+    # both keep every minimum
     for g in small_corpus(3, 2):
         tau = compute_tau(g)
-        gt = trim_for_kinds(g, tau)
+        gt = trim_for_kinds(g)
+        ref = _trim_tau1(g, tau)
         assert validate(gt).ok
         L = g.n + 2
-        assert oracle_prefixes(gt, "min", L) == oracle_prefixes(g, "min", L)
+        want = oracle_prefixes(g, "min", L)
+        assert oracle_prefixes(gt, "min", L) == want
+        assert oracle_prefixes(ref, "min", L) == want
+        assert _edges(gt) <= _edges(ref)
         for v, ps in enumerate(gt.preds):
             if tau[v] == 1:
                 assert all(gt.label[u] <= gt.label[v] for u in ps)
+
+
+def _trim_corpus():
+    yield from small_corpus(3, 3)
+    for n, sigma, density in ((9, 3, 0.5), (64, 4, 0.5), (300, 4, 0.3), (300, 60, 0.5)):
+        yield gen("random", n, sigma, seed=n, density=density)
+    yield gen("cycle", 200, 3)
+    yield gen("debruijn", 256, 2)
+    yield gen("debruijn", 243, 3)
+    yield gen("chain-feeding-sink", 200, 2)
+
+
+def test_trimmed_graph_is_valid_and_keeps_min_partition():
+    # the engine runs on trimmed graphs, so trimming must keep a graph valid
+    # and its min partition; on the transposed graph, its max partition
+    for g in _trim_corpus():
+        for h in (g, transpose_alphabet(g)):
+            ht = trim_for_kinds(h)
+            assert validate(ht).ok
+            assert min_partition(ht).groups == min_partition(h).groups
 
 
 def test_file_roundtrip(fig_graph):
@@ -401,30 +448,33 @@ def test_parse_sorts_rows_of_an_unordered_file():
     seed=st.integers(0, 10**6),
 )
 def test_trim_keeps_prefix_or_suffix(n, sigma, seed):
-    # trimming g keeps a prefix of each tau=1 row; trimming the transposed
-    # graph keeps a prefix of its reversed rows, which is a suffix of g's
+    # each kept row is the leading run of the least label in the input row;
+    # a transposed row is reversed, so trimming it keeps the greatest-label
+    # run of g's row, a suffix, in reverse
     g = gen("random", n, min(sigma, n), seed=seed, density=0.6)
     for h in (g, transpose_alphabet(g)):
-        tau = compute_tau(h)
-        gt = trim_for_kinds(h, tau)
+        gt = trim_for_kinds(h)
         assert validate(gt).ok
         if h is g:
             # a transposed row breaks label ties by descending id
             _assert_stored_order(gt)
         for v, (ps, kept) in enumerate(zip(h.preds, gt.preds)):
-            if tau[v] == 1:
-                assert kept == ps[: len(kept)]
-                assert all(h.label[u] <= h.label[v] for u in kept)
-                assert all(h.label[u] > h.label[v] for u in ps[len(kept) :])
-            else:
-                assert kept == ps
+            least = [u for u in ps if h.label[u] == h.label[ps[0]]]
+            assert list(kept) == least == list(ps[: len(kept)])
+            if h is not g:
+                top = [u for u in g.preds[v] if g.label[u] == g.label[g.preds[v][-1]]]
+                assert list(kept) == top[::-1]
         if gt.preds == h.preds:
             assert gt is h
 
 
 def test_trim_returns_input_when_nothing_dropped(fig_graph):
-    tau = compute_tau(fig_graph)
-    assert trim_for_kinds(fig_graph, tau) is fig_graph
+    # every row of a trimmed graph holds one label
+    gt = trim_for_kinds(fig_graph)
+    assert gt is not fig_graph
+    assert trim_for_kinds(gt) is gt
+    cyc = gen("cycle", 12, 3)
+    assert trim_for_kinds(cyc) is cyc
 
 
 @given(

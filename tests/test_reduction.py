@@ -88,7 +88,7 @@ def _assert_explore_matches_four_pass(g):
     """
     for h in (g, transpose_alphabet(g)):
         tau = compute_tau(h)
-        gt = trim_for_kinds(h, tau)
+        gt = trim_for_kinds(h)
         for direction in (3, 1):
             new_sc, ref_sc = ExplorationScratch(h.n), _FourPassScratch(h.n)
             for u in range(h.n):
@@ -117,7 +117,7 @@ def test_explore_matches_four_pass_on_generators(g):
 
 def test_fig_type3_exploration(fig_graph):
     tau = compute_tau(fig_graph)
-    gt = trim_for_kinds(fig_graph, tau)
+    gt = trim_for_kinds(fig_graph)
     r = explore(gt, tau, 5, direction=3)
     # min_5 = a b # ...; the walk stops at the #-looped node
     assert r.gamma == (1, 2, 0)
@@ -128,7 +128,7 @@ def test_fig_type3_exploration(fig_graph):
 def test_two_cycle_type3_exploration():
     g = make_graph([0, 1], [[1], [0]], sigma=2)
     tau = compute_tau(g)
-    r = explore(trim_for_kinds(g, tau), tau, 0, direction=3)
+    r = explore(trim_for_kinds(g), tau, 0, direction=3)
     assert r.gamma == (0, 1, 0)
     assert r.t == 3
     assert r.frontier == (0,)
@@ -139,7 +139,7 @@ def test_immediate_tau2_stop():
     g = make_graph([0, 1], [[1], [1]], sigma=2)
     tau = compute_tau(g)
     assert tau == [3, 2]
-    r = explore(trim_for_kinds(g, tau), tau, 0, direction=3)
+    r = explore(trim_for_kinds(g), tau, 0, direction=3)
     assert r.gamma == (0, 1) and r.t == 2 and r.frontier == (1,)
 
 
@@ -168,7 +168,7 @@ def test_type1_walks_through_tau3_chain():
 def test_gamma_matches_oracle_prefix_exhaustively(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
-        gt = trim_for_kinds(g, tau)
+        gt = trim_for_kinds(g)
         rows = oracle_prefixes(g, "min", g.n + 2)
         sc = ExplorationScratch(g.n)
         for u in range(g.n):
@@ -190,7 +190,7 @@ def test_gamma_matches_oracle_prefix_exhaustively(exhaustive_graphs):
 def test_gamma_monotone_by_direction(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
-        gt = trim_for_kinds(g, tau)
+        gt = trim_for_kinds(g)
         sc = ExplorationScratch(g.n)
         for u in range(g.n):
             if tau[u] == 3:
@@ -205,7 +205,7 @@ def test_gamma_monotone_by_direction(exhaustive_graphs):
 
 def test_build_reduced_fig(fig_graph):
     tau = compute_tau(fig_graph)
-    gt = trim_for_kinds(fig_graph, tau)
+    gt = trim_for_kinds(fig_graph)
     r = explore(gt, tau, 5, direction=3)
     rg = build_reduced_graph(gt, [r], 3)
     assert rg.node_map == (5,)
@@ -264,7 +264,7 @@ def test_order_preservation_exhaustively(exhaustive_graphs):
         tau = compute_tau(g)
         if sum(1 for t in tau if t == 3) < 2:
             continue
-        gt = trim_for_kinds(g, tau)
+        gt = trim_for_kinds(g)
         sc = ExplorationScratch(g.n)
         recs = [
             explore(gt, tau, u, direction=3, scratch=sc)
@@ -286,7 +286,7 @@ def test_order_preservation_exhaustively(exhaustive_graphs):
 def test_reduced_self_loops_iff_t2(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
-        gt = trim_for_kinds(g, tau)
+        gt = trim_for_kinds(g)
         sc = ExplorationScratch(g.n)
         recs = [
             explore(gt, tau, u, direction=3, scratch=sc)
@@ -311,7 +311,7 @@ def test_edge_work_bound_on_trimmed(exhaustive_graphs):
         make_graph([0, 1], [[1], [0]], sigma=2),
     ]:
         tau = compute_tau(g)
-        gt = trim_for_kinds(g, tau)
+        gt = trim_for_kinds(g)
         sc = ExplorationScratch(g.n)
         for u in range(g.n):
             if tau[u] == 3:
