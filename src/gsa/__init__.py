@@ -35,21 +35,17 @@ from .oracle import (
     oracle_partition,
     oracle_prefixes,
 )
-from .reduction import ExplorationRecord, ReducedGraph, build_reduced_graph
 
 __all__ = [
     "EngineStats",
-    "ExplorationRecord",
     "GraphFormatError",
     "InvalidGraphError",
     "LabeledGraph",
     "MinMaxKey",
     "MinMaxPartition",
     "Partition",
-    "ReducedGraph",
     "ValidationReport",
     "bench_scaling",
-    "build_reduced_graph",
     "compute_tau",
     "enumerate_small_graphs",
     "format_graph",

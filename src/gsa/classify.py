@@ -15,7 +15,7 @@ with a run of label(u), and one topological peel of the equal-label edges
 Rows are sorted by label, so a non-tau=1 node's equal-label predecessors
 lead its ``preds`` row, and determinism leaves every node at most one
 equal-label successor: reading only those runs, the classification runs in
-O(n + equal-label edges) and never reads ``succs``.
+O(n + equal-label edges) and never builds a successor row.
 """
 
 from __future__ import annotations

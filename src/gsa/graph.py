@@ -4,8 +4,8 @@ A :class:`LabeledGraph` is a deterministic, input-consistent, node-labeled
 directed graph over a dense integer alphabet. Input consistency means every
 edge entering a node carries the same character, so the character is stored on
 the node itself. All algorithms in this package read strings by walking edges
-backward, which is why predecessors are the primary adjacency and successors
-are a derived index.
+backward, so predecessors are the one stored adjacency; the merge, the one
+step that walks forward, derives the successor rows it needs.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ class LabeledGraph:
     value. ``preds[v]`` lists the sources of edges entering ``v`` sorted by
     their labels, so ``preds[v][0]`` carries the least label and
     ``preds[v][-1]`` the greatest; :func:`make_graph` breaks ties by id.
-    ``succs`` is the derived forward index, each row in id order. A
-    hand-built graph must keep both orders; :func:`validate` reports a row
+    A hand-built graph must keep this order; :func:`validate` reports a row
     out of label order under the rule ``order``.
     """
 
@@ -42,10 +41,10 @@ class LabeledGraph:
     sigma: int
     label: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
-    succs: tuple[tuple[int, ...], ...]
-    # set by make_graph, whose rows are in label order and whose succs match
-    # preds by construction; lets validate skip the order and index checks
-    succs_derived: bool = field(default=False, compare=False, repr=False)
+    # set by make_graph and parse_graph, whose rows are range-checked and in
+    # label order; lets validate skip those checks. Not an init field, so
+    # dataclasses.replace clears it
+    rows_checked: bool = field(default=False, init=False, compare=False, repr=False)
 
     def edge_count(self) -> int:
         return sum(len(p) for p in self.preds)
@@ -65,27 +64,21 @@ def make_graph(
     """Build a LabeledGraph from per-node labels and predecessor lists.
 
     The input rows may be in any order. The stored ``preds[v]`` is sorted by
-    (label of the source, source id) and ``succs[u]`` by id. Does not
-    validate; call :func:`validate` to check the structural assumptions.
+    (label of the source, source id). Range-checks every source, but does
+    not validate; call :func:`validate` to check the structural assumptions.
     """
     n = len(labels)
     if len(preds) != n:
         raise GraphFormatError(f"got {n} labels but {len(preds)} predecessor lists")
-    for v, ps in enumerate(preds):
-        if ps and (min(ps) < 0 or max(ps) >= n):
-            raise GraphFormatError(f"edge into {v} has source out of range for n={n}")
     ids = list(range(n))
-    rows = [[] if ps else () for ps in preds]
-    return _assemble(tuple(labels), _successors(preds, ids), rows, ids, sigma)
-
-
-def _successors(preds: Sequence[Sequence[int]], ids: Sequence[int]) -> list[list[int]]:
-    """The successor rows of ``preds``, each in id order, storing v as ``ids[v]``."""
     succ: list[list[int]] = [[] for _ in ids]
     for v, ps in zip(ids, preds):
+        if ps and (min(ps) < 0 or max(ps) >= n):
+            raise GraphFormatError(f"edge into {v} has source out of range for n={n}")
         for u in ps:
             succ[u].append(v)
-    return succ
+    rows = [[] if ps else () for ps in preds]
+    return _assemble(tuple(labels), succ, rows, ids, sigma)
 
 
 def _assemble(
@@ -98,29 +91,20 @@ def _assemble(
     int object stored for node i. Visiting sources in label order fills
     every row in (label, id) order without sorting a row. Every stored id is
     an object of ``ids``, so the adjacency references n distinct ints, which
-    keeps large graphs cache-resident.
+    keeps large graphs cache-resident. Each row list is released as soon
+    as it is copied to a tuple, so the copy never doubles the adjacency's
+    memory. ``succ`` is not stored.
     """
     for u in sorted(ids, key=label.__getitem__):
         for v in succ[u]:
             rows[v].append(u)
-    if sigma is None:
-        sigma = max(label) + 1 if label else 0
-    return LabeledGraph(
-        n=len(label),
-        sigma=sigma,
-        label=label,
-        preds=_frozen(rows),
-        succs=_frozen(succ),
-        succs_derived=True,
-    )
-
-
-def _frozen(rows: list) -> tuple[tuple[int, ...], ...]:
-    """``rows`` as a tuple of tuples. Each list is released as soon as it is
-    copied, so the copy never doubles the adjacency's memory."""
     for i, r in enumerate(rows):
         rows[i] = tuple(r)
-    return tuple(rows)
+    if sigma is None:
+        sigma = max(label) + 1 if label else 0
+    g = LabeledGraph(n=len(label), sigma=sigma, label=label, preds=tuple(rows))
+    object.__setattr__(g, "rows_checked", True)
+    return g
 
 
 def validate(g: LabeledGraph) -> ValidationReport:
@@ -133,8 +117,8 @@ def validate(g: LabeledGraph) -> ValidationReport:
     """
     out: list[tuple[str, str, str]] = []
     n, sigma, label, preds = g.n, g.sigma, g.label, g.preds
-    if len(label) != n or len(preds) != n or len(g.succs) != n:
-        msg = "label/preds/succs length differs from n"
+    if len(label) != n or len(preds) != n:
+        msg = "label/preds length differs from n"
         return ValidationReport(False, (("shape", "graph", msg),))
     if n and (min(label) < 0 or max(label) >= sigma):
         k = sum(1 for c in label if not 0 <= c < sigma)
@@ -165,19 +149,15 @@ def validate(g: LabeledGraph) -> ValidationReport:
     if unused:
         msg = f"{unused} of {sigma} characters label no node"
         out.append(("alphabet", "graph", msg))
-    # make_graph range-checks and sorts every row and derives succs from
-    # preds; other graphs get all three checked
-    if not g.succs_derived:
+    # make_graph and parse_graph range-check and sort every row; other
+    # graphs get both checked
+    if not g.rows_checked:
         for v, ps in enumerate(preds):
             if ps and not 0 <= min(ps) <= max(ps) < n:
                 out += [("edge-range", f"edge ({u},{v})", "source out of range")
                         for u in ps if not 0 <= u < n]
             elif any(label[a] > label[b] for a, b in zip(ps, ps[1:])):
                 out.append(("order", f"node {v}", "predecessors not sorted by label"))
-        back = sorted((u, v) for v, ps in enumerate(preds) for u in ps)
-        fwd = sorted((u, v) for u, ss in enumerate(g.succs) for v in ss)
-        if back != fwd:
-            out.append(("index", "graph", "preds and succs disagree"))
     return ValidationReport(not out, tuple(out))
 
 
@@ -264,8 +244,7 @@ def trim_for_kinds(g: LabeledGraph) -> LabeledGraph:
     preds = tuple(rows)
     if preds == g.preds:  # identity-equal rows compare in O(1) each
         return g
-    succs = _frozen(_successors(rows, range(g.n)))
-    return replace(g, preds=preds, succs=succs, succs_derived=True)
+    return replace(g, preds=preds)
 
 
 HEADER_PREFIX = "gsa-graph v1"

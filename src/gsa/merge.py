@@ -109,14 +109,23 @@ def merge_partitions(
 
     Marking never moves a placed node, so a direction-3 merge counts the
     fill nodes still unplaced; once none is left, later groups are only
-    emitted, and their successor rows are not read.
+    emitted, and their forward rows are not walked.
+
+    Only edges into the fill class place a node, so the forward row
+    ``fwd[u]`` lists just u's fill-class successors, in id order. The rows
+    are built from ``g.preds`` at entry.
     """
     n = g.n
     sigma = g.sigma
     label = g.label
-    succs = g.succs
+    preds = g.preds
     fill = 1 if direction == 3 else 3
     ascending = direction == 3
+    fwd: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        if tau[v] == fill:
+            for u in preds[v]:
+                fwd[u].append(v)
 
     members: list[list[int]] = []  # of each group, indexed by group id
     buckets: list[list[list[int]]] = [[[] for _ in range(4)] for _ in range(sigma)]
@@ -179,8 +188,8 @@ def merge_partitions(
                 base = nxt  # every id from base on is opened by this group
                 first = 0 if ascending else base
                 for u in alive:
-                    for v in succs[u]:
-                        if tau[v] != fill or placed_gid[v] >= first:
+                    for v in fwd[u]:
+                        if placed_gid[v] >= first:
                             continue
                         c_k = label[v]
                         if not ascending:

@@ -131,14 +131,12 @@ def explore(
 class ReducedGraph:
     """Smaller graph over the recursed tau class.
 
-    node_map maps reduced node id -> parent node id; parent_map is the inverse
-    with -1 for parent nodes outside the class. letter_key records, per
+    node_map maps reduced node id -> parent node id. letter_key records, per
     reduced character, the originating (gamma, t) pair.
     """
 
     graph: LabeledGraph
     node_map: tuple[int, ...]
-    parent_map: tuple[int, ...]
     letter_key: tuple[tuple[tuple[int, ...], int], ...]
 
 
@@ -175,7 +173,7 @@ def build_reduced_graph(
         if len(r.gamma) > n + 1:
             raise ExplorationError(f"record for node {r.node} has gamma longer than n+1")
     by_node = sorted(records, key=lambda r: r.node)
-    parent_map = [-1] * n
+    parent_map = [-1] * n  # parent node id -> reduced id, -1 outside the class
     for i, r in enumerate(by_node):
         parent_map[r.node] = i
 
@@ -203,6 +201,5 @@ def build_reduced_graph(
     return ReducedGraph(
         graph=graph,
         node_map=tuple(r.node for r in by_node),
-        parent_map=tuple(parent_map),
         letter_key=tuple(letter_key),
     )

@@ -37,6 +37,15 @@ def fig_graph() -> LabeledGraph:
     return make_graph(FIG_LABELS, FIG_PREDS, sigma=4)
 
 
+def successor_rows(g: LabeledGraph) -> list[list[int]]:
+    """Every node's successors in id order, derived from ``preds``."""
+    succs: list[list[int]] = [[] for _ in range(g.n)]
+    for v, ps in enumerate(g.preds):
+        for u in ps:
+            succs[u].append(v)
+    return succs
+
+
 def small_corpus(n_max: int = 3, sigma: int = 2) -> list[LabeledGraph]:
     return list(enumerate_small_graphs(n_max, sigma))
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +14,19 @@ from gsa.generators import gen
 from gsa.merge import _run_heights
 from gsa.oracle import oracle_partition, oracle_prefixes
 
-from conftest import FIG_TAU, generated_graphs, random_corpus, small_corpus
+from conftest import (
+    FIG_TAU,
+    generated_graphs,
+    random_corpus,
+    small_corpus,
+    successor_rows,
+)
 
 
 def tau_invariant_violations(g: LabeledGraph, tau: Sequence[int]) -> list[str]:
     """Edge-local sanity conditions any correct tau vector satisfies."""
     bad = []
-    for u, ss in enumerate(g.succs):
+    for u, ss in enumerate(successor_rows(g)):
         for v in ss:
             if g.label[u] < g.label[v] and tau[v] != 1:
                 bad.append(f"edge ({u},{v}): smaller-label pred but tau[v]={tau[v]}")
@@ -32,7 +37,7 @@ def tau_invariant_violations(g: LabeledGraph, tau: Sequence[int]) -> list[str]:
 
 def _equal_label_heights_scanning(g: LabeledGraph, active: Sequence[bool]) -> list[int]:
     """Reference peel that reads the whole successor row of every active node."""
-    n, label, succs = g.n, g.label, g.succs
+    n, label, succs = g.n, g.label, successor_rows(g)
     indeg = [0] * n
     for u in range(n):
         if active[u]:
@@ -54,7 +59,7 @@ def _equal_label_heights_scanning(g: LabeledGraph, active: Sequence[bool]) -> li
 
 def _compute_tau_scanning(g: LabeledGraph) -> list[int]:
     """Reference tau that spreads tau=1 along whole successor rows."""
-    n, label, preds, succs = g.n, g.label, g.preds, g.succs
+    n, label, preds, succs = g.n, g.label, g.preds, successor_rows(g)
     one = [False] * n
     queue = [v for v in range(n) if preds[v] and label[preds[v][0]] < label[v]]
     for v in queue:
@@ -66,19 +71,6 @@ def _compute_tau_scanning(g: LabeledGraph) -> list[int]:
                 queue.append(v)
     h = _equal_label_heights_scanning(g, [not x for x in one])
     return [1 if one[u] else 3 if h[u] else 2 for u in range(n)]
-
-
-class _UnreadableRows(Sequence):
-    """A stand-in for ``succs`` that fails on any read."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i):
-        raise AssertionError(f"successor row {i} read")
 
 
 def test_fig_graph_tau(fig_graph):
@@ -199,17 +191,14 @@ def test_tau_and_psi_local_recurrence_at_scale(kind, n, sigma, density):
     # 3 and psi, node by node. A tau=2 node has a tau=2 equal-label
     # predecessor, so its backward walk never ends; a tau=3 node's equal-
     # label predecessors are tau=3 with a psi at least one lower, so its walk
-    # is acyclic. Tau and psi are computed on a copy of the graph whose
-    # successor rows cannot be read, and equal the successor-scanning
-    # reference.
+    # is acyclic. Tau and psi equal the successor-scanning references.
     g0 = gen(kind, n, sigma, seed=5, density=density)
     for g in (g0, transpose_alphabet(g0)):
-        blind = replace(g, succs=_UnreadableRows(g.n))
-        tau = compute_tau(blind)
+        tau = compute_tau(g)
         assert tau == _compute_tau_scanning(g)
         assert tau_invariant_violations(g, tau) == []
         active = [t == 3 for t in tau]
-        psi = _run_heights(blind, active)
+        psi = _run_heights(g, active)
         assert psi == _equal_label_heights_scanning(g, active)
         for v in range(g.n):
             eq = [p for p in g.preds[v] if g.label[p] == g.label[v]]

@@ -7,6 +7,7 @@ import random
 import re
 import tracemalloc
 from collections import defaultdict
+from dataclasses import replace
 from itertools import chain
 
 import pytest
@@ -19,7 +20,9 @@ from gsa import (
     format_graph,
     from_dfa,
     make_graph,
+    max_partition,
     min_partition,
+    minmax_partition,
     parse_graph,
     transpose_alphabet,
     validate,
@@ -67,17 +70,26 @@ def test_validate_unused_character():
     assert any(rule == "alphabet" for rule, _, _ in rep.violations)
 
 
-def test_validate_inconsistent_succs_index():
+@pytest.mark.parametrize(
+    "preds, rule",
+    [
+        pytest.param(((5,), (0,)), "edge-range", id="source-past-n"),
+        pytest.param(((-1,), (0,)), "edge-range", id="negative-source"),
+        pytest.param(((1,), (1, 0)), "order", id="row-out-of-label-order"),
+    ],
+)
+def test_replace_clears_rows_checked(preds, rule):
+    # rows_checked lets validate skip the row checks of a make_graph graph;
+    # a graph made from one by dataclasses.replace gets them again
     good = make_graph([0, 1], [[1], [0]], sigma=2)
-    bad = gsa.LabeledGraph(
-        n=2,
-        sigma=2,
-        label=good.label,
-        preds=good.preds,
-        succs=((0,), (1,)),  # wrong on purpose
-    )
+    assert good.rows_checked
+    bad = replace(good, preds=preds)
+    assert not bad.rows_checked
     rep = validate(bad)
-    assert any(rule == "index" for rule, _, _ in rep.violations)
+    assert [r for r, _, _ in rep.violations] == [rule]
+    for fn in (min_partition, max_partition, minmax_partition):
+        with pytest.raises(InvalidGraphError, match=rule):
+            fn(bad)
 
 
 def test_from_dfa_fig_example():
@@ -161,7 +173,9 @@ def test_trim_fig_graph_keeps_least_label_runs(fig_graph):
     # sources are labeled at most 3
     gt = trim_for_kinds(fig_graph)
     assert gt.preds == ((0,), (0,), (0,), (0,), (1,), (2,), (3, 6))
-    assert gt.succs == ((0, 1, 2, 3), (4,), (5,), (6,), (), (), (6,))
+    # a row the trim keeps whole is the input's row object
+    kept = [gt.preds[v] is fig_graph.preds[v] for v in range(7)]
+    assert kept == [True, True, True, True, False, False, True]
     assert validate(gt).ok
     assert _trim_tau1(fig_graph, compute_tau(fig_graph)) == fig_graph
 
@@ -409,8 +423,6 @@ def _sample_graph(kind, n, sigma, seed):
 def _assert_stored_order(g):
     for v, ps in enumerate(g.preds):
         assert list(ps) == sorted(ps, key=lambda u: (g.label[u], u)), v
-    for u, ss in enumerate(g.succs):
-        assert list(ss) == sorted(ss), u
 
 
 @given(
@@ -425,20 +437,21 @@ def test_rows_in_label_order_and_roundtrip(kind, n, sigma, seed):
     g2 = parse_graph(format_graph(g))
     _assert_stored_order(g2)
     assert g2 == g
+    assert g.rows_checked and g2.rows_checked
 
 
 def test_make_graph_orders_rows_by_label_then_id():
     # sources 3, 1, 2, 0 carry labels 0, 1, 0, 1
     g = make_graph([1, 1, 0, 0, 2], [[4], [4], [4], [4], [3, 1, 2, 0]], sigma=3)
     assert g.preds[4] == (2, 3, 0, 1)
-    assert g.succs[0] == g.succs[3] == (4,)
+    assert g.preds[:4] == ((4,),) * 4
 
 
 def test_parse_sorts_rows_of_an_unordered_file():
     text = "gsa-graph v1 3 2\n2\t0\t0\n0\t2\t1\n1\t0\t0\n0\t1\t0\n"
     g = parse_graph(text)
     assert g.preds == ((1, 2), (0,), (0,))
-    assert g.succs == ((1, 2), (0,), (0,))
+    assert g.rows_checked
     assert g == make_graph([0, 0, 1], [[2, 1], [0], [0]], sigma=2)
 
 
@@ -499,12 +512,11 @@ def test_unsorted_row_fails_order_rule():
         sigma=2,
         label=good.label,
         preds=((0,), (2, 0), (1,)),  # label 1 before label 0 on purpose
-        succs=good.succs,
     )
     rep = validate(bad)
     assert [rule for rule, _, _ in rep.violations] == ["order"]
     assert rep.violations[0][1] == "node 1"
-    assert validate(gsa.LabeledGraph(3, 2, good.label, good.preds, good.succs)).ok
+    assert validate(gsa.LabeledGraph(3, 2, good.label, good.preds)).ok
     with pytest.raises(InvalidGraphError):
         min_partition(bad)
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
+import inspect
+import sys
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from gsa.merge import (
 )
 from gsa.oracle import oracle_partition, oracle_prefixes
 
-from conftest import FIG_MIN_GROUPS, generated_graphs
+from conftest import FIG_MIN_GROUPS, generated_graphs, successor_rows
 
 
 @dataclass
@@ -40,7 +41,7 @@ def _merge_with_group_objects(g, tau, class_groups, direction, psi=None):
     n = g.n
     sigma = g.sigma
     label = g.label
-    succs = g.succs
+    succs = successor_rows(g)
     fill = 1 if direction == 3 else 3
     ascending = direction == 3
 
@@ -393,33 +394,47 @@ def test_merge_matches_group_objects_at_scale(kind, n, sigma, copies, density):
     assert _assert_merge_matches_group_objects(g, truth) > 1
 
 
-class _CountingRows(Sequence):
-    """A stand-in for ``succs`` that counts the rows read."""
+def _merge_counting_rows(g, tau, class_groups, direction):
+    """merge_partitions's result, and how many forward rows it walked.
 
-    def __init__(self, rows):
-        self.rows = rows
-        self.reads = 0
+    The rows are a local of the merge, so a line trace of its own frame
+    counts them: a group walks the row of each live member right after it
+    reads its height.
+    """
+    code = merge_partitions.__code__
+    lines, start = inspect.getsourcelines(merge_partitions)
+    at = start + next(i for i, ln in enumerate(lines) if "h = height[gid]" in ln)
+    walked = 0
 
-    def __len__(self) -> int:
-        return len(self.rows)
+    def local(frame, event, arg):
+        nonlocal walked
+        if event == "line" and frame.f_lineno == at:
+            walked += len(frame.f_locals["alive"])
+        return local
 
-    def __getitem__(self, i):
-        self.reads += 1
-        return self.rows[i]
+    def on_call(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    old = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        out = merge_partitions(g, tau, class_groups, direction)
+    finally:
+        sys.settrace(old)
+    return out, walked
 
 
 def test_marking_merge_stops_reading_once_every_fill_node_is_placed():
     # dense: every tau=1 node has many smaller-labeled predecessors, and the
     # first one processed places it, so all are placed after a few groups
-    # and the later groups read no successor row
+    # and the later groups walk no forward row
     g = gen("random", 1000, 200, seed=3, density=0.5)
     tau = compute_tau(g)
     groups = [[u for u in grp if tau[u] == 3] for grp in min_partition(g).groups]
     class_groups = [grp for grp in groups if grp]
-    rows = _CountingRows(g.succs)
-    out = merge_partitions(replace(g, succs=rows), tau, class_groups, 3)
+    out, walked = _merge_counting_rows(g, tau, class_groups, 3)
     assert out == _merge_with_group_objects(g, tau, class_groups, 3)
-    assert 0 < rows.reads < len(out) // 4
+    assert 0 < walked < len(out) // 4
 
 
 def test_merge_requires_psi_for_direction_1(fig_graph):
