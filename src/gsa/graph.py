@@ -70,11 +70,14 @@ def make_graph(
     n = len(labels)
     if len(preds) != n:
         raise GraphFormatError(f"got {n} labels but {len(preds)} predecessor lists")
+    lo = min(chain.from_iterable(preds), default=0)
+    hi = max(chain.from_iterable(preds), default=-1)
+    if lo < 0 or hi >= n:  # only now look for the first bad row
+        v = next(v for v, ps in enumerate(preds) if ps and (min(ps) < 0 or max(ps) >= n))
+        raise GraphFormatError(f"edge into {v} has source out of range for n={n}")
     ids = list(range(n))
     succ: list[list[int]] = [[] for _ in ids]
     for v, ps in zip(ids, preds):
-        if ps and (min(ps) < 0 or max(ps) >= n):
-            raise GraphFormatError(f"edge into {v} has source out of range for n={n}")
         for u in ps:
             succ[u].append(v)
     rows = [[] if ps else () for ps in preds]

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .classify import equal_label_heights
 from .graph import LabeledGraph
@@ -82,8 +83,10 @@ def merge_partitions(
     """Run the bucket schedule; return groups of all nodes in string order.
 
     ``class_groups`` is the true ordered partition of the tau=direction nodes
-    (ascending). With direction 1, ``psi`` must give the run heights of the
-    tau=3 nodes, which are placed by the run-length mechanism.
+    (ascending); one flat pass checks that each group is label- and
+    tau-pure, and the groups are output as given, not copied. With
+    direction 1, ``psi`` must give the run heights of the tau=3 nodes,
+    which are placed by the run-length mechanism.
 
     A group is an integer id into two parallel lists: its members and its
     run height. The buckets hold ids, and ``placed_gid[v]`` is the id of the
@@ -132,17 +135,17 @@ def merge_partitions(
     to_fill = [row[fill] for row in buckets]  # the fill bucket of each character
 
     for grp in class_groups:
-        ms = list(grp)
-        if not ms:
-            continue
-        c = label[ms[0]]
-        if any(label[x] != c or tau[x] != direction for x in ms):
-            raise MergeError("class group is not label- and tau-pure")
-        buckets[c][direction].append(len(members))
-        members.append(ms)
+        if grp:
+            buckets[label[grp[0]]][direction].append(len(members))
+            members.append(grp)  # not copied: a class group is never extended
+    flat = list(chain.from_iterable(members))  # every class node, group by group
+    if list(map(tau.__getitem__, flat)).count(direction) != len(flat) or (
+        list(map(label.__getitem__, flat)) != [label[grp[0]] for grp in members for _ in grp]
+    ):
+        raise MergeError("class group is not label- and tau-pure")
     by_label: list[list[int]] = [[] for _ in range(sigma)]
-    for u in range(n):
-        if tau[u] == 2:
+    for u, t in enumerate(tau):
+        if t == 2:
             by_label[label[u]].append(u)
     for c in range(sigma):
         if by_label[c]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import inf
+from operator import attrgetter
 
 from .graph import LabeledGraph, make_graph
 
@@ -31,20 +32,26 @@ class ExplorationError(RuntimeError):
     """Internal invariant broken during exploration (inconsistent inputs)."""
 
 
-@dataclass(frozen=True)
 class ExplorationRecord:
     """Result of one backward exploration.
 
     gamma is the discovered prefix (first character = the node's own label),
     t the tau class of the final frontier, frontier the final frontier nodes,
     and edges_scanned an instrumentation counter for the complexity tests.
+    A level builds one per class node, so it is a plain ``__slots__`` class:
+    a frozen dataclass sets each field through ``object.__setattr__`` and
+    took about four times as long to build.
     """
 
-    node: int
-    gamma: tuple[int, ...]
-    t: int
-    frontier: tuple[int, ...]
-    edges_scanned: int
+    __slots__ = ("node", "gamma", "t", "frontier", "edges_scanned")
+
+    def __init__(self, node: int, gamma: tuple[int, ...], t: int,
+                 frontier: tuple[int, ...], edges_scanned: int) -> None:
+        self.node = node
+        self.gamma = gamma
+        self.t = t
+        self.frontier = frontier
+        self.edges_scanned = edges_scanned
 
 
 class ExplorationScratch:
@@ -53,10 +60,6 @@ class ExplorationScratch:
     def __init__(self, n: int) -> None:
         self.visited = [0] * n
         self.tick = 0
-
-    def next_tick(self) -> int:
-        self.tick += 1
-        return self.tick
 
 
 def explore(
@@ -87,7 +90,7 @@ def explore(
     label = g.label
     preds = g.preds
     visited = scratch.visited
-    vt = scratch.next_tick()
+    vt = scratch.tick = scratch.tick + 1
 
     frontier = [u]
     gamma = [label[u]]
@@ -114,13 +117,7 @@ def explore(
         gamma.append(label[nxt[0]])
         t = tau[nxt[0]]
         if (t >= 2) if direction == 3 else (t <= 2):
-            return ExplorationRecord(
-                node=u,
-                gamma=tuple(gamma),
-                t=t,
-                frontier=tuple(frontier),
-                edges_scanned=edges,
-            )
+            return ExplorationRecord(u, tuple(gamma), t, tuple(frontier), edges)
         if subtract:
             for p in frontier:
                 visited[p] = vt
@@ -140,22 +137,6 @@ class ReducedGraph:
     letter_key: tuple[tuple[tuple[int, ...], int], ...]
 
 
-def reduced_sort_key(
-    record: ExplorationRecord, direction: int, sigma: int
-) -> tuple[int, ...]:
-    """Total order on (gamma, t) pairs defining the reduced alphabet.
-
-    In the type-3 direction a record whose gamma strictly extends another's
-    represents the smaller string (its continuation starts below the shorter
-    record's stop class), so gammas compare with a pad character above every
-    real one; ties break t=2 before t=3. In the complementary direction the
-    extension is larger, so the pad sits below every real character and ties
-    break t=1 before t=2.
-    """
-    pad = sigma if direction == 3 else -1
-    return record.gamma + (pad, record.t)
-
-
 def build_reduced_graph(
     g: LabeledGraph,
     records: Sequence[ExplorationRecord],
@@ -167,17 +148,26 @@ def build_reduced_graph(
     that stopped at tau=2 becomes a self-loop (its string is the character
     repeated forever); otherwise the reduced predecessors are the final
     frontier nodes, which belong to the same tau class.
+
+    The reduced alphabet orders the (gamma, t) pairs by the key
+    ``gamma + (pad, t)``. In the type-3 direction a record whose gamma
+    strictly extends another's represents the smaller string (its
+    continuation starts below the shorter record's stop class), so gammas
+    compare with a pad character above every real one; ties break t=2
+    before t=3. In the complementary direction the extension is larger, so
+    the pad sits below every real character and ties break t=1 before t=2.
     """
     n = g.n
     for r in records:
         if len(r.gamma) > n + 1:
             raise ExplorationError(f"record for node {r.node} has gamma longer than n+1")
-    by_node = sorted(records, key=lambda r: r.node)
+    by_node = sorted(records, key=attrgetter("node"))
     parent_map = [-1] * n  # parent node id -> reduced id, -1 outside the class
     for i, r in enumerate(by_node):
         parent_map[r.node] = i
 
-    node_keys = [reduced_sort_key(r, direction, g.sigma) for r in by_node]
+    pad = g.sigma if direction == 3 else -1
+    node_keys = [r.gamma + (pad, r.t) for r in by_node]
     keys = sorted(set(node_keys))
     char_of = {k: i for i, k in enumerate(keys)}
     letter_key: list[tuple[tuple[int, ...], int]] = [(k[:-2], k[-1]) for k in keys]

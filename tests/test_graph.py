@@ -447,6 +447,21 @@ def test_make_graph_orders_rows_by_label_then_id():
     assert g.preds[:4] == ((4,),) * 4
 
 
+@pytest.mark.parametrize(
+    "labels, preds, message",
+    [
+        # the bad source sits in a row after the first; the message names its target
+        ([0, 0, 0], [[0], [1, -1], [2]], "edge into 1 has source out of range for n=3"),
+        ([0, 0, 0], [[0], [], [2, 3]], "edge into 2 has source out of range for n=3"),
+        ([0, 0, 0], [[0], [1]], "got 3 labels but 2 predecessor lists"),
+    ],
+    ids=["source-below-0", "source-n", "length-mismatch"],
+)
+def test_make_graph_rejects_bad_rows(labels, preds, message):
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        make_graph(labels, preds)
+
+
 def test_parse_sorts_rows_of_an_unordered_file():
     text = "gsa-graph v1 3 2\n2\t0\t0\n0\t2\t1\n1\t0\t0\n0\t1\t0\n"
     g = parse_graph(text)

@@ -343,10 +343,19 @@ def test_psi_order_observation(exhaustive_graphs):
                     assert (rank[u] < rank[v]) == (psi[v] < psi[u])
 
 
-def test_merge_rejects_impure_class_group(fig_graph):
+@pytest.mark.parametrize(
+    "class_groups, direction",
+    [
+        ([[5, 1]], 3),  # tau 3 and 1, both labeled 1
+        ([[1]], 3),  # one node, tau 1
+        ([[1, 2]], 1),  # both tau 1, labeled 1 and 2
+    ],
+    ids=["tau-mixed", "wrong-tau", "label-mixed"],
+)
+def test_merge_rejects_impure_class_group(fig_graph, class_groups, direction):
     tau = compute_tau(fig_graph)
-    with pytest.raises(MergeError):
-        merge_partitions(fig_graph, tau, [[5, 1]], 3)
+    with pytest.raises(MergeError, match="class group is not label- and tau-pure"):
+        merge_partitions(fig_graph, tau, class_groups, direction)
 
 
 def test_partition_rank_consistency():

@@ -27,6 +27,10 @@ class _FourPassScratch(ExplorationScratch):
         super().__init__(n)
         self.seen = [0] * n
 
+    def next_tick(self):
+        self.tick += 1
+        return self.tick
+
 
 def _explore_four_pass(g, tau, u, direction, scratch=None):
     """The former explore, kept as the reference for the one-pass rewrite.
