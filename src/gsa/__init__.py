@@ -1,12 +1,11 @@
 """Suffix-array-style orderings of deterministic, input-consistent labeled graphs.
 
-Public surface: the graph type and its structural operations, the tau
-classification, the recursive min/max/minmax partition drivers, and the
-brute-force oracle used to verify them.
+Public surface: the graph type and its structural operations, the
+recursive min/max/minmax partition drivers, and the brute-force oracle used
+to verify them. The tau classification is ``gsa.classify.compute_tau``.
 """
 
 from .bench import bench_scaling
-from .classify import compute_tau
 from .driver import (
     EngineStats,
     MinMaxKey,
@@ -46,7 +45,6 @@ __all__ = [
     "Partition",
     "ValidationReport",
     "bench_scaling",
-    "compute_tau",
     "enumerate_small_graphs",
     "format_graph",
     "from_dfa",

@@ -22,16 +22,6 @@ class BenchRecord:
     recursion_depth: int
 
 
-def fit_slope(points: list[tuple[float, float]]) -> float:
-    """Least-squares slope of y on x."""
-    k = len(points)
-    mx = sum(x for x, _ in points) / k
-    my = sum(y for _, y in points) / k
-    num = sum((x - mx) * (y - my) for x, y in points)
-    den = sum((x - mx) ** 2 for x, _ in points)
-    return num / den
-
-
 def bench_scaling(
     kinds: list[str],
     sizes: list[int],
@@ -54,7 +44,8 @@ def bench_scaling(
     records: list[BenchRecord] = []
     slopes: dict[str, float] = {}
     for kind in kinds:
-        points = []
+        xs: list[float] = []
+        ys: list[float] = []
         for idx, n in enumerate(sizes):
             g_seed = seed + n if kind == "random" else seed
             if kind == "random":
@@ -88,6 +79,7 @@ def bench_scaling(
                     recursion_depth=stats.depth,
                 )
             )
-            points.append((math.log(n), math.log(max(med, 1))))
-        slopes[kind] = fit_slope(points)
+            xs.append(math.log(n))
+            ys.append(math.log(max(med, 1)))
+        slopes[kind] = statistics.linear_regression(xs, ys).slope
     return records, slopes

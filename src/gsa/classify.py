@@ -73,6 +73,9 @@ def compute_tau(g: LabeledGraph) -> list[int]:
     its row's leading equal-label run, and tau=1 spreads along ``nxt``.
     Phase 2 peels the equal-label edges among the rest: a node left unpeeled
     reaches an equal-label cycle backward and is tau=2, a peeled one tau=3.
+
+    ``g`` must be valid, and is not checked here: the engine validates once
+    per call, not per level, and so does the CLI's ``tau`` command.
     """
     n = g.n
     label = g.label

@@ -41,13 +41,7 @@ from .classify import compute_tau
 # gsa.driver.make_graph, so the name stays
 from .graph import LabeledGraph, make_graph, require_valid, transpose_alphabet, trim_for_kinds  # noqa: F401
 from .merge import Partition, merge_partitions, partition_from_groups, _run_heights
-from .reduction import (
-    ExplorationRecord,
-    ExplorationScratch,
-    ReducedGraph,
-    build_reduced_graph,
-    explore,
-)
+from .reduction import ReducedGraph, build_reduced_graph, explore
 
 
 @dataclass(frozen=True)
@@ -114,15 +108,16 @@ def _collector_paused() -> Iterator[None]:
 
 
 def _level(
-    g: LabeledGraph,
-) -> tuple[
-    list[int], int, int, int, LabeledGraph, list[ExplorationRecord], ReducedGraph | None
-]:
+    g: LabeledGraph, stats: EngineStats | None
+) -> tuple[list[int], int, LabeledGraph, ReducedGraph | None, LevelStats | None]:
     """One classify-trim-explore-reduce step of the recursion.
 
     Explores and reduces on the trimmed graph, which keeps every minimum
-    string and tau. Returns (tau, n1, n3, direction, trimmed graph, records,
-    reduced graph or None when the class recursed on is empty).
+    string and tau. Returns (tau, direction, trimmed graph, reduced graph or
+    None when the class recursed on is empty, the level's LevelStats or None
+    when ``stats`` is None). The exploration records stay here, so the
+    recursion does not hold them; their largest ``edges_scanned`` is folded
+    into ``stats.peak_exploration_edges``.
     """
     n = g.n
     tau = compute_tau(g)
@@ -131,14 +126,22 @@ def _level(
     direction = 3 if n3 == 0 or (n1 > 0 and n3 <= n1) else 1
     gt = trim_for_kinds(g)
     class_nodes = [u for u in range(n) if tau[u] == direction]
-    if not class_nodes:
-        return tau, n1, n3, direction, gt, [], None
-    if min(n1, n3) > 0 and len(class_nodes) > n // 2:
-        raise AssertionError(f"recursed class has {len(class_nodes)} of {n} nodes")
-    scratch = ExplorationScratch(n)
-    records = [explore(gt, tau, u, direction, scratch=scratch) for u in class_nodes]
-    rg = build_reduced_graph(gt, records, direction)
-    return tau, n1, n3, direction, gt, records, rg
+    rg = None
+    if class_nodes:
+        if min(n1, n3) > 0 and len(class_nodes) > n // 2:
+            raise AssertionError(f"recursed class has {len(class_nodes)} of {n} nodes")
+        visited = [-1] * n
+        records = [explore(gt, tau, u, direction, visited) for u in class_nodes]
+        rg = build_reduced_graph(gt, records, direction)
+        if stats is not None:
+            stats.peak_exploration_edges = max(
+                stats.peak_exploration_edges, *(r.edges_scanned for r in records)
+            )
+    if stats is None:
+        return tau, direction, gt, rg, None
+    reduced_n = 0 if rg is None else rg.graph.n
+    level = LevelStats(n, n1, n3, direction, reduced_n, g.edge_count(), gt.edge_count())
+    return tau, direction, gt, rg, level
 
 
 def _engine(g: LabeledGraph, stats: EngineStats | None) -> list[list[int]]:
@@ -148,23 +151,14 @@ def _engine(g: LabeledGraph, stats: EngineStats | None) -> list[list[int]]:
         return []
     if n == 1:
         return [[0]]
-    tau, n1, n3, direction, gt, records, rg = _level(g)
-    if stats is not None:
-        for r in records:
-            if r.edges_scanned > stats.peak_exploration_edges:
-                stats.peak_exploration_edges = r.edges_scanned
-    del records  # not held through the recursion
+    tau, direction, gt, rg, level = _level(g, stats)
     if rg is None:
         class_groups: list[list[int]] = []
-        reduced_n = 0
     else:
         sub_groups = _engine(rg.graph, stats)
         class_groups = [[rg.node_map[i] for i in grp] for grp in sub_groups]
-        reduced_n = rg.graph.n
-
     if stats is not None:
-        m, kept = g.edge_count(), gt.edge_count()
-        stats.levels.append(LevelStats(n, n1, n3, direction, reduced_n, m, kept))
+        stats.levels.append(level)
 
     # direction 1 places the tau=3 nodes by run heights
     psi = _run_heights(gt, [t == 3 for t in tau]) if direction == 1 else None
@@ -353,5 +347,5 @@ def reduction_step(
     empty). It is min_partition's first level, least-label trim included.
     """
     require_valid(g)
-    tau, _n1, _n3, direction, _gt, _records, rg = _level(g)
+    tau, direction, _gt, rg, _stats = _level(g, None)
     return tau, direction, rg

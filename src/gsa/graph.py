@@ -212,9 +212,7 @@ def from_dfa(
     for v, lab in enumerate(labels):
         if lab is None:
             raise GraphFormatError(f"state {v} has no incoming edge and is not initial")
-    final = [int(x) for x in labels if x is not None]
-    assert len(final) == num_states
-    return make_graph(final, preds, sigma=len(chars) + 1), charmap
+    return make_graph(labels, preds, sigma=len(chars) + 1), charmap
 
 
 def transpose_alphabet(g: LabeledGraph) -> LabeledGraph:

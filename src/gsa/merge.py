@@ -195,14 +195,10 @@ def merge_partitions(
                         if placed_gid[v] >= first:
                             continue
                         c_k = label[v]
-                        if not ascending:
-                            # run-length placement: only toward the already-swept
-                            # side, and an equal character only from within the
-                            # fill class
-                            if c_k > c_i or (c_k == c_i and not in_fill):
-                                continue
-                            if psi[v] != (h + 1 if c_k == c_i else 1):
-                                continue
+                        # a tau=3 node has no predecessor of a smaller label, and
+                        # one of its own label is tau=3 too, so only psi can bar v
+                        if not ascending and psi[v] != (h + 1 if c_k == c_i else 1):
+                            continue
                         j = open_gid[c_k]
                         if j < base:  # this group has opened none of this label yet
                             j = open_gid[c_k] = nxt

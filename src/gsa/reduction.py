@@ -54,20 +54,12 @@ class ExplorationRecord:
         self.edges_scanned = edges_scanned
 
 
-class ExplorationScratch:
-    """Reusable stamp arrays so one exploration costs no O(n) clearing."""
-
-    def __init__(self, n: int) -> None:
-        self.visited = [0] * n
-        self.tick = 0
-
-
 def explore(
     g: LabeledGraph,
     tau: Sequence[int],
     u: int,
     direction: int,
-    scratch: ExplorationScratch | None = None,
+    visited: list[int],
 ) -> ExplorationRecord:
     """Expand frontiers backward from u until the stopping tau class.
 
@@ -77,6 +69,12 @@ def explore(
     with direction 1 the frontiers may legitimately revisit nodes and no
     subtraction happens.
 
+    ``visited`` has one entry per node, none equal to ``u`` on entry. A
+    direction-3 exploration sets ``visited[p] = u`` for each node p of its
+    frontiers and skips a predecessor so stamped; direction 1 writes
+    nothing. So explorations from distinct start nodes, as in one level,
+    can share one list, filled with -1 once.
+
     Each step is one pass over the frontier's rows that keeps the least
     (label, tau) seen so far and its nodes. Rows are in label order, so a
     row is read from the front and left at the first label greater than
@@ -84,13 +82,9 @@ def explore(
     rows. The nodes of a frontier share one label, so in a deterministic
     graph no node precedes two of them and a step needs no duplicate check.
     """
-    if scratch is None:
-        scratch = ExplorationScratch(g.n)
     subtract = direction == 3
     label = g.label
     preds = g.preds
-    visited = scratch.visited
-    vt = scratch.tick = scratch.tick + 1
 
     frontier = [u]
     gamma = [label[u]]
@@ -104,7 +98,7 @@ def explore(
                 lp = label[p]
                 if lp > best_label:
                     break
-                if visited[p] == vt:
+                if visited[p] == u:
                     continue
                 tp = tau[p]
                 if lp < best_label or tp < best_tau:
@@ -120,7 +114,7 @@ def explore(
             return ExplorationRecord(u, tuple(gamma), t, tuple(frontier), edges)
         if subtract:
             for p in frontier:
-                visited[p] = vt
+                visited[p] = u
     raise ExplorationError(f"exploration of node {u} did not stop within n+1 steps")
 
 

@@ -29,7 +29,7 @@ from gsa.oracle import (
     oracle_partition,
     oracle_prefixes,
 )
-from gsa.reduction import ExplorationScratch, build_reduced_graph, explore
+from gsa.reduction import build_reduced_graph, explore
 
 from conftest import (
     FIG_LABELS,
@@ -128,14 +128,14 @@ def test_criterion_4_structural_properties(capsys):
         tau = compute_tau(g)
         gt = trim_for_kinds(g)
         rows = oracle_prefixes(g, "min", g.n + 2)
-        sc = ExplorationScratch(g.n)
+        visited = [-1] * g.n
         recs3 = []
         for u in range(g.n):
             if tau[u] == 3:
-                r = explore(gt, tau, u, direction=3, scratch=sc)
+                r = explore(gt, tau, u, 3, visited)
                 recs3.append(r)
             elif tau[u] == 1:
-                r = explore(g, tau, u, direction=1, scratch=sc)
+                r = explore(g, tau, u, 1, visited)
             else:
                 continue
             ok = ok and r.gamma == rows[u][: len(r.gamma)]

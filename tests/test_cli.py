@@ -7,7 +7,7 @@ import json
 import pytest
 
 import gsa.cli
-from gsa import format_graph, make_graph, parse_graph
+from gsa import MinMaxPartition, Partition, format_graph, make_graph, parse_graph
 from gsa.cli import EXIT_ASSERT, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from gsa.oracle import OracleStabilizationError
 
@@ -67,6 +67,22 @@ def test_oracle_stabilization_error_exit_code(fig_file, monkeypatch, capsys):
     monkeypatch.setattr(gsa.cli, "oracle_partition", stuck)
     assert main(["oracle", fig_file]) == EXIT_ASSERT
     assert "internal assertion: no fixpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["min", "max", "minmax"])
+def test_verify_exit_code_on_a_wrong_engine_result(cmd, fig_file, monkeypatch, capsys):
+    # the engine's groups in reverse order: a partition the oracle rejects
+    engine = getattr(gsa.cli, f"{cmd}_partition")
+    wrong = MinMaxPartition if cmd == "minmax" else Partition
+
+    def reversed_groups(g):
+        return wrong(engine(g).groups[::-1])
+
+    monkeypatch.setattr(gsa.cli, f"{cmd}_partition", reversed_groups)
+    assert main([cmd, fig_file, "--verify"]) == EXIT_ASSERT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal assertion: oracle disagreement" in captured.err
 
 
 def test_malformed_file(tmp_path, capsys):

@@ -36,7 +36,7 @@ from gsa.graph import (
     _line_chunks,
     trim_for_kinds,
 )
-from gsa.oracle import oracle_prefixes
+from gsa.oracle import oracle_minmax, oracle_partition, oracle_prefixes
 
 from conftest import FIG_LABELS, FIG_PREDS, small_corpus
 
@@ -68,6 +68,36 @@ def test_validate_unused_character():
     g = make_graph([0], [[0]], sigma=2)
     rep = validate(g)
     assert any(rule == "alphabet" for rule, _, _ in rep.violations)
+
+
+@pytest.mark.parametrize(
+    "n, sigma, labels, preds, rule",
+    [
+        pytest.param(2, 2, (0, 1), ((1,),), "shape", id="shape"),
+        pytest.param(3, 2, (0, 1, 2), ((0,), (0,), (1,)), "label-range", id="label-range"),
+        pytest.param(2, 1, (0, 0), ((0, 1), ()), "in-degree", id="in-degree"),
+        pytest.param(3, 1, (0, 0, 0), ((0, 1, 2), (0,), (0,)), "determinism", id="determinism"),
+        pytest.param(1, 2, (0,), ((0,),), "alphabet", id="alphabet"),
+        pytest.param(2, 2, (0, 1), ((5,), (0,)), "edge-range", id="source-past-n"),
+        pytest.param(2, 2, (0, 1), ((-1,), (0,)), "edge-range", id="negative-source"),
+        pytest.param(3, 2, (0, 1, 1), ((0,), (2, 0), (1,)), "order", id="order"),
+    ],
+)
+def test_every_validate_rule_is_named_and_rejected(n, sigma, labels, preds, rule):
+    # built directly, so validate checks the rows as well
+    g = gsa.LabeledGraph(n, sigma, labels, preds)
+    assert [r for r, _, _ in validate(g).violations] == [rule]
+    calls = [
+        min_partition,
+        max_partition,
+        minmax_partition,
+        lambda g: oracle_partition(g, "min"),
+        lambda g: oracle_partition(g, "max"),
+        oracle_minmax,
+    ]
+    for fn in calls:
+        with pytest.raises(InvalidGraphError, match=rule):
+            fn(g)
 
 
 @pytest.mark.parametrize(
@@ -124,6 +154,22 @@ def test_from_dfa_rejects_input_inconsistency():
 def test_from_dfa_rejects_edge_into_initial():
     with pytest.raises(GraphFormatError):
         from_dfa(2, [(0, 1, "a"), (1, 0, "a")], initial=0)
+
+
+@pytest.mark.parametrize(
+    "num_states, edges, initial, message",
+    [
+        pytest.param(2, [(0, 1, "a")], 2, "initial state 2 out of range", id="initial"),
+        pytest.param(2, [(0, 2, "a")], 0, r"edge \(0,2\) out of range", id="edge"),
+        pytest.param(
+            3, [(0, 1, "a"), (0, 2, "a")], 0, "state 0 is nondeterministic", id="nondeterministic"
+        ),
+        pytest.param(3, [(0, 1, "a")], 0, "state 2 has no incoming edge", id="unreachable"),
+    ],
+)
+def test_from_dfa_rejects(num_states, edges, initial, message):
+    with pytest.raises(GraphFormatError, match=message):
+        from_dfa(num_states, edges, initial)
 
 
 def test_from_dfa_output_validates():
@@ -253,6 +299,12 @@ def test_parse_rejects_inconsistent_labels():
 def test_parse_rejects_bad_header():
     with pytest.raises(GraphFormatError):
         parse_graph("nope 1 1\n")
+
+
+@pytest.mark.parametrize("header", ["gsa-graph v1 -1 2", "gsa-graph v1 2 -1"])
+def test_parse_rejects_negative_n_or_sigma(header):
+    with pytest.raises(GraphFormatError, match="negative n or sigma"):
+        parse_graph(header + "\n0\t0\t0\n")
 
 
 def test_parse_rejects_node_count_beyond_file():

@@ -12,7 +12,6 @@ from gsa.oracle import oracle_partition, oracle_prefixes
 from gsa.reduction import (
     ExplorationError,
     ExplorationRecord,
-    ExplorationScratch,
     build_reduced_graph,
     explore,
 )
@@ -20,12 +19,14 @@ from gsa.reduction import (
 from conftest import generated_graphs
 
 
-class _FourPassScratch(ExplorationScratch):
-    """The former scratch, which also stamps the nodes pooled in one step."""
+class _FourPassScratch:
+    """The former scratch: tick-stamped arrays for the nodes of earlier
+    frontiers and for the nodes pooled in one step."""
 
     def __init__(self, n):
-        super().__init__(n)
+        self.visited = [0] * n
         self.seen = [0] * n
+        self.tick = 0
 
     def next_tick(self):
         self.tick += 1
@@ -87,16 +88,17 @@ def _assert_explore_matches_four_pass(g):
     """Every node of g and of transpose_alphabet(g), in both directions.
 
     The transposed graph stands for the max sense, which the engine runs as
-    the min sense on it. Each (graph, direction) shares one scratch per
-    implementation across its explorations, as one level of the engine does.
+    the min sense on it. Each (graph, direction) shares one stamp list, and
+    one scratch for the reference, across its explorations, as one level of
+    the engine does.
     """
     for h in (g, transpose_alphabet(g)):
         tau = compute_tau(h)
         gt = trim_for_kinds(h)
         for direction in (3, 1):
-            new_sc, ref_sc = ExplorationScratch(h.n), _FourPassScratch(h.n)
+            visited, ref_sc = [-1] * h.n, _FourPassScratch(h.n)
             for u in range(h.n):
-                r, err = _outcome(explore, gt, tau, u, direction, new_sc)
+                r, err = _outcome(explore, gt, tau, u, direction, visited)
                 ref, ref_err = _outcome(_explore_four_pass, gt, tau, u, direction, ref_sc)
                 where = (h.label, h.preds, direction, u)
                 assert err == ref_err, where
@@ -122,17 +124,29 @@ def test_explore_matches_four_pass_on_generators(g):
 def test_fig_type3_exploration(fig_graph):
     tau = compute_tau(fig_graph)
     gt = trim_for_kinds(fig_graph)
-    r = explore(gt, tau, 5, direction=3)
+    r = explore(gt, tau, 5, 3, [-1] * fig_graph.n)
     # min_5 = a b # ...; the walk stops at the #-looped node
     assert r.gamma == (1, 2, 0)
     assert r.t == 2
     assert r.frontier == (0,)
 
 
+def test_explore_stamps_visited_only_in_direction_3(fig_graph):
+    tau = compute_tau(fig_graph)
+    gt = trim_for_kinds(fig_graph)
+    visited = [-1] * fig_graph.n
+    explore(gt, tau, 5, 3, visited)
+    # node 2 formed the one frontier before the walk stopped at node 0
+    assert visited == [-1, -1, 5, -1, -1, -1, -1]
+    visited = [-1] * fig_graph.n
+    explore(fig_graph, tau, 4, 1, visited)
+    assert visited == [-1] * fig_graph.n
+
+
 def test_two_cycle_type3_exploration():
     g = make_graph([0, 1], [[1], [0]], sigma=2)
     tau = compute_tau(g)
-    r = explore(trim_for_kinds(g), tau, 0, direction=3)
+    r = explore(trim_for_kinds(g), tau, 0, 3, [-1] * g.n)
     assert r.gamma == (0, 1, 0)
     assert r.t == 3
     assert r.frontier == (0,)
@@ -143,15 +157,15 @@ def test_immediate_tau2_stop():
     g = make_graph([0, 1], [[1], [1]], sigma=2)
     tau = compute_tau(g)
     assert tau == [3, 2]
-    r = explore(trim_for_kinds(g), tau, 0, direction=3)
+    r = explore(trim_for_kinds(g), tau, 0, 3, [-1] * g.n)
     assert r.gamma == (0, 1) and r.t == 2 and r.frontier == (1,)
 
 
 def test_fig_type1_explorations(fig_graph):
     tau = compute_tau(fig_graph)
-    r4 = explore(fig_graph, tau, 4, direction=1)
+    r4 = explore(fig_graph, tau, 4, 1, [-1] * fig_graph.n)
     assert r4.gamma == (3, 1) and r4.t == 1 and r4.frontier == (1,)
-    r1 = explore(fig_graph, tau, 1, direction=1)
+    r1 = explore(fig_graph, tau, 1, 1, [-1] * fig_graph.n)
     assert r1.gamma == (1, 0) and r1.t == 2 and r1.frontier == (0,)
 
 
@@ -162,7 +176,7 @@ def test_type1_walks_through_tau3_chain():
     g = make_graph(labels, preds, sigma=4)
     tau = compute_tau(g)
     assert tau == [2, 3, 3, 1, 2]
-    r = explore(g, tau, 3, direction=1)
+    r = explore(g, tau, 3, 1, [-1] * g.n)
     assert r.gamma == (2, 1, 1, 3)
     assert r.t == 2 and r.frontier == (0,)
     pfx = oracle_prefixes(g, "min", g.n + 2)[3]
@@ -174,12 +188,12 @@ def test_gamma_matches_oracle_prefix_exhaustively(exhaustive_graphs):
         tau = compute_tau(g)
         gt = trim_for_kinds(g)
         rows = oracle_prefixes(g, "min", g.n + 2)
-        sc = ExplorationScratch(g.n)
+        visited = [-1] * g.n
         for u in range(g.n):
             if tau[u] == 3:
-                r = explore(gt, tau, u, direction=3, scratch=sc)
+                r = explore(gt, tau, u, 3, visited)
             elif tau[u] == 1:
-                r = explore(g, tau, u, direction=1, scratch=sc)
+                r = explore(g, tau, u, 1, visited)
             else:
                 continue
             assert r.gamma == rows[u][: len(r.gamma)], (g.label, g.preds, u)
@@ -195,14 +209,14 @@ def test_gamma_monotone_by_direction(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
         gt = trim_for_kinds(g)
-        sc = ExplorationScratch(g.n)
+        visited = [-1] * g.n
         for u in range(g.n):
             if tau[u] == 3:
-                r = explore(gt, tau, u, direction=3, scratch=sc)
+                r = explore(gt, tau, u, 3, visited)
                 body = r.gamma[1:]
                 assert all(a >= b for a, b in zip(body, body[1:]))
             elif tau[u] == 1:
-                r = explore(g, tau, u, direction=1, scratch=sc)
+                r = explore(g, tau, u, 1, visited)
                 body = r.gamma[1:]
                 assert all(a <= b for a, b in zip(body, body[1:]))
 
@@ -210,7 +224,7 @@ def test_gamma_monotone_by_direction(exhaustive_graphs):
 def test_build_reduced_fig(fig_graph):
     tau = compute_tau(fig_graph)
     gt = trim_for_kinds(fig_graph)
-    r = explore(gt, tau, 5, direction=3)
+    r = explore(gt, tau, 5, 3, [-1] * fig_graph.n)
     rg = build_reduced_graph(gt, [r], 3)
     assert rg.node_map == (5,)
     assert rg.letter_key == (((1, 2, 0), 2),)
@@ -269,9 +283,9 @@ def test_order_preservation_exhaustively(exhaustive_graphs):
         if sum(1 for t in tau if t == 3) < 2:
             continue
         gt = trim_for_kinds(g)
-        sc = ExplorationScratch(g.n)
+        visited = [-1] * g.n
         recs = [
-            explore(gt, tau, u, direction=3, scratch=sc)
+            explore(gt, tau, u, 3, visited)
             for u in range(g.n)
             if tau[u] == 3
         ]
@@ -291,9 +305,9 @@ def test_reduced_self_loops_iff_t2(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
         gt = trim_for_kinds(g)
-        sc = ExplorationScratch(g.n)
+        visited = [-1] * g.n
         recs = [
-            explore(gt, tau, u, direction=3, scratch=sc)
+            explore(gt, tau, u, 3, visited)
             for u in range(g.n)
             if tau[u] == 3
         ]
@@ -316,10 +330,10 @@ def test_edge_work_bound_on_trimmed(exhaustive_graphs):
     ]:
         tau = compute_tau(g)
         gt = trim_for_kinds(g)
-        sc = ExplorationScratch(g.n)
+        visited = [-1] * g.n
         for u in range(g.n):
             if tau[u] == 3:
-                r = explore(gt, tau, u, direction=3, scratch=sc)
+                r = explore(gt, tau, u, 3, visited)
                 assert r.edges_scanned <= 2 * g.n
 
 
