@@ -7,8 +7,12 @@ recursed partition back. The recursed class never exceeds half the nodes,
 so the recursion depth is O(log n) and total work is quadratic.
 
 The maximum strings of g are the minimum strings of g with its character
-order flipped, so ``max_partition`` runs the same engine on
-``transpose_alphabet(g)`` and reverses the groups. The joint partition runs
+order flipped, so ``max_partition`` runs the same engine on the transposed
+graph and reverses the groups. It first cuts each row of g to its
+greatest-label run, the run that carries the maximum string, and transposes
+only that: the transposed runs are the least-label runs that the engine's
+top-level trim keeps, so the engine sees the same graph, and the other
+edges are never copied. The joint partition runs
 the engine for min and for max and keeps one extremal in-edge per (node,
 kind) key. Within one kind the order is then known, so it places each max
 group among the min groups by a monotone recurrence over the kept edges:
@@ -40,6 +44,7 @@ from .classify import compute_tau
 # make_graph is no longer called here, but perfbench/tracer.py patches
 # gsa.driver.make_graph, so the name stays
 from .graph import LabeledGraph, make_graph, require_valid, transpose_alphabet, trim_for_kinds  # noqa: F401
+from .graph import _trim_to_greatest_runs
 from .merge import Partition, merge_partitions, partition_from_groups, _run_heights
 from .reduction import ReducedGraph, build_reduced_graph, explore
 
@@ -172,11 +177,25 @@ def min_partition(g: LabeledGraph, stats: EngineStats | None = None) -> Partitio
     return partition_from_groups(_engine(g, stats))
 
 
+def _max_groups(g: LabeledGraph, stats: EngineStats | None) -> list[list[int]]:
+    """Groups of all nodes of g by their maximum strings, ascending.
+
+    The engine runs on the transposed graph of g's greatest-label runs,
+    which are the rows its top-level trim would keep, so that trim changes
+    nothing and only the kept edges are copied. The top level, recorded
+    last, still counts all of g's edges as its ``m``.
+    """
+    groups = _engine(transpose_alphabet(_trim_to_greatest_runs(g)), stats)
+    if stats is not None and g.n > 1:  # n <= 1 records no level
+        stats.levels[-1].m = g.edge_count()
+    return groups[::-1]
+
+
 @_collector_paused()
 def max_partition(g: LabeledGraph, stats: EngineStats | None = None) -> Partition:
     """Ordered partition of all nodes by their maximum strings, ascending."""
     require_valid(g)
-    return partition_from_groups(_engine(transpose_alphabet(g), stats)[::-1])
+    return partition_from_groups(_max_groups(g, stats))
 
 
 def _group_index(groups: list[list[int]], n: int) -> list[int]:
@@ -303,7 +322,7 @@ def minmax_partition(
         return MinMaxPartition(())
     label = g.label
     min_groups = _engine(g, stats)
-    max_groups = _engine(transpose_alphabet(g), stats)[::-1]
+    max_groups = _max_groups(g, stats)
     rank_min = _group_index(min_groups, n)
     rank_max = _group_index(max_groups, n)
     f, h = _union_graph(g, rank_min, rank_max)

@@ -10,7 +10,7 @@ step that walks forward, derives the successor rows it needs.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Hashable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
@@ -41,9 +41,9 @@ class LabeledGraph:
     sigma: int
     label: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
-    # set by make_graph and parse_graph, whose rows are range-checked and in
-    # label order; lets validate skip those checks. Not an init field, so
-    # dataclasses.replace clears it
+    # set by make_graph and parse_graph, whose labels and sources are ints
+    # and whose rows are range-checked and in label order; lets validate
+    # skip those checks. Not an init field, so dataclasses.replace clears it
     rows_checked: bool = field(default=False, init=False, compare=False, repr=False)
 
     def edge_count(self) -> int:
@@ -64,24 +64,58 @@ def make_graph(
     """Build a LabeledGraph from per-node labels and predecessor lists.
 
     The input rows may be in any order. The stored ``preds[v]`` is sorted by
-    (label of the source, source id). Range-checks every source, but does
-    not validate; call :func:`validate` to check the structural assumptions.
+    (label of the source, source id). Type- and range-checks every label and
+    source, but does not validate; call :func:`validate` to check the
+    structural assumptions.
     """
     n = len(labels)
     if len(preds) != n:
         raise GraphFormatError(f"got {n} labels but {len(preds)} predecessor lists")
-    lo = min(chain.from_iterable(preds), default=0)
-    hi = max(chain.from_iterable(preds), default=-1)
-    if lo < 0 or hi >= n:  # only now look for the first bad row
-        v = next(v for v, ps in enumerate(preds) if ps and (min(ps) < 0 or max(ps) >= n))
-        raise GraphFormatError(f"edge into {v} has source out of range for n={n}")
+    bad = _first_non_int(labels)
+    if bad is not None:
+        raise GraphFormatError(f"label {bad[1]!r} of node {bad[0]} is not an int")
     ids = list(range(n))
     succ: list[list[int]] = [[] for _ in ids]
-    for v, ps in zip(ids, preds):
-        for u in ps:
-            succ[u].append(v)
+    try:
+        lo = min(chain.from_iterable(preds), default=0)
+        hi = max(chain.from_iterable(preds), default=-1)
+        if lo < 0 or hi >= n:  # only now look for the first bad row
+            v = next(v for v, ps in enumerate(preds) if ps and (min(ps) < 0 or max(ps) >= n))
+            raise GraphFormatError(f"edge into {v} has source out of range for n={n}")
+        for v, ps in zip(ids, preds):
+            for u in ps:
+                succ[u].append(v)
+    except TypeError:
+        # a row that is not iterable, or a source that does not compare with
+        # ints or index a list, fails above; rows of ints pay no check
+        row = _bad_row(preds)
+        if row is None:
+            raise
+        raise GraphFormatError(f"node {row[0]}: {row[1]}") from None
     rows = [[] if ps else () for ps in preds]
     return _assemble(tuple(labels), succ, rows, ids, sigma)
+
+
+def _first_non_int(xs: Sequence) -> tuple[int, object] | None:
+    """(index, item) of the first item of ``xs`` that is not an int, or
+    None. A bool is an int. Items that are all ints cost one pass over their
+    types."""
+    if all(issubclass(t, int) for t in set(map(type, xs))):
+        return None
+    return next((i, x) for i, x in enumerate(xs) if not isinstance(x, int))
+
+
+def _bad_row(preds: Sequence) -> tuple[int, str] | None:
+    """The first row that is not a sequence of ints, as (node, what is
+    wrong), or None."""
+    for v, ps in enumerate(preds):
+        try:
+            bad = _first_non_int(ps)
+        except TypeError:
+            return v, f"predecessor row {ps!r} is not a sequence"
+        if bad is not None:
+            return v, f"predecessor {bad[1]!r} is not an int"
+    return None
 
 
 def _assemble(
@@ -120,6 +154,19 @@ def validate(g: LabeledGraph) -> ValidationReport:
     """
     out: list[tuple[str, str, str]] = []
     n, sigma, label, preds = g.n, g.sigma, g.label, g.preds
+    # type: n, sigma, labels and sources are ints (a bool is one). The other
+    # rules compare and index with them, so these are reported alone
+    out += [("type", "graph", f"{name} {x!r} is not an int")
+            for name, x in (("n", n), ("sigma", sigma)) if not isinstance(x, int)]
+    if not g.rows_checked:
+        bad = _first_non_int(label)
+        if bad is not None:
+            out.append(("type", f"node {bad[0]}", f"label {bad[1]!r} is not an int"))
+        row = _bad_row(preds)
+        if row is not None:
+            out.append(("type", f"node {row[0]}", row[1]))
+    if out:
+        return ValidationReport(False, tuple(out))
     if len(label) != n or len(preds) != n:
         msg = "label/preds length differs from n"
         return ValidationReport(False, (("shape", "graph", msg),))
@@ -234,7 +281,8 @@ def trim_for_kinds(g: LabeledGraph) -> LabeledGraph:
     that run can carry it. Every node keeps its minimum string and tau, and
     the result still satisfies all graph invariants. Returns ``g`` itself
     when every row holds one label. The name is kept because
-    perfbench/tracer.py patches it.
+    perfbench/tracer.py patches it. Its mirror for maximum strings is
+    :func:`_trim_to_greatest_runs`.
     """
     label = g.label
     key = label.__getitem__
@@ -246,6 +294,26 @@ def trim_for_kinds(g: LabeledGraph) -> LabeledGraph:
     if preds == g.preds:  # identity-equal rows compare in O(1) each
         return g
     return replace(g, preds=preds)
+
+
+def _trim_to_greatest_runs(g: LabeledGraph) -> LabeledGraph:
+    """Keep in each row only its trailing run of the greatest label in the row.
+
+    The mirror of :func:`trim_for_kinds`: v's maximum string is label(v)
+    followed by the greatest maximum string of its predecessors, each of
+    which begins with its source's label, so only that run can carry it.
+    :func:`transpose_alphabet` reverses each row, so the run becomes its
+    row's leading least-label run, ties in descending id: the transposed
+    result has exactly the rows that ``trim_for_kinds(transpose_alphabet(g))``
+    keeps.
+    """
+    label = g.label
+    key = label.__getitem__
+    rows = list(g.preds)
+    for v, ps in enumerate(rows):
+        if ps and label[ps[0]] != label[ps[-1]]:
+            rows[v] = ps[bisect_left(ps, label[ps[-1]], key=key) :]
+    return replace(g, preds=tuple(rows))
 
 
 HEADER_PREFIX = "gsa-graph v1"

@@ -114,12 +114,25 @@ def test_minmax_restrictions_match_single_kind(mixed_corpus):
 
 
 def test_duality_max_is_reversed_transposed_min(mixed_corpus):
-    """Criterion 6. max_partition is defined this way, so the identity holds
-    by construction; the correctness of max rests on the oracle tests."""
+    """Criterion 6, level by level. max_partition runs the engine on the
+    transposed greatest-label runs of g, not on transpose_alphabet(g), so
+    the identity holds only if those runs are exactly what the engine's
+    trim keeps: then the groups and every recorded level agree. The
+    correctness of max itself rests on the oracle tests."""
     for g in mixed_corpus:
-        fwd = max_partition(g).groups
-        rev = tuple(reversed(min_partition(transpose_alphabet(g)).groups))
+        s_max, s_rev, s_min, s_mm = (EngineStats() for _ in range(4))
+        fwd = max_partition(g, s_max).groups
+        rev = tuple(reversed(min_partition(transpose_alphabet(g), s_rev).groups))
         assert fwd == rev
+        assert s_max.levels == s_rev.levels
+        assert s_max.peak_exploration_edges == s_rev.peak_exploration_edges
+        # minmax records the min run's levels, then the max run's
+        min_partition(g, s_min)
+        minmax_partition(g, s_mm)
+        assert s_mm.levels == s_min.levels + s_max.levels
+        assert s_mm.peak_exploration_edges == max(
+            s_min.peak_exploration_edges, s_max.peak_exploration_edges
+        )
 
 
 def test_recursed_class_at_most_half(mixed_corpus):

@@ -34,11 +34,12 @@ from gsa.graph import (
     InvalidGraphError,
     _assemble,
     _line_chunks,
+    _trim_to_greatest_runs,
     trim_for_kinds,
 )
 from gsa.oracle import oracle_minmax, oracle_partition, oracle_prefixes
 
-from conftest import FIG_LABELS, FIG_PREDS, small_corpus
+from conftest import FIG_LABELS, FIG_PREDS, generated_graphs, small_corpus
 
 
 def test_validate_fig_graph_ok(fig_graph):
@@ -81,6 +82,13 @@ def test_validate_unused_character():
         pytest.param(2, 2, (0, 1), ((5,), (0,)), "edge-range", id="source-past-n"),
         pytest.param(2, 2, (0, 1), ((-1,), (0,)), "edge-range", id="negative-source"),
         pytest.param(3, 2, (0, 1, 1), ((0,), (2, 0), (1,)), "order", id="order"),
+        pytest.param(1, 1, ("a",), ((0,),), "type", id="str-label"),
+        pytest.param(1, 1, (0.5,), ((0,),), "type", id="float-label"),
+        pytest.param(1, 1, (0,), (None,), "type", id="none-row"),
+        pytest.param(2, 1, (0, 0), ((1,), ("0",)), "type", id="str-source"),
+        pytest.param(1, 1, (0,), ((0.0,),), "type", id="float-source"),
+        pytest.param(1, "1", (0,), ((0,),), "type", id="str-sigma"),
+        pytest.param(1.0, 1, (0,), ((0,),), "type", id="float-n"),
     ],
 )
 def test_every_validate_rule_is_named_and_rejected(n, sigma, labels, preds, rule):
@@ -98,6 +106,14 @@ def test_every_validate_rule_is_named_and_rejected(n, sigma, labels, preds, rule
     for fn in calls:
         with pytest.raises(InvalidGraphError, match=rule):
             fn(g)
+
+
+def test_bool_counts_as_an_int():
+    # False and True are the ints 0 and 1
+    g = gsa.LabeledGraph(2, 2, (False, True), ((True,), (0,)))
+    assert validate(g).ok
+    assert min_partition(g).groups == ((0,), (1,))
+    assert make_graph([0, True], [[True], [False]]).preds == ((1,), (0,))
 
 
 @pytest.mark.parametrize(
@@ -506,8 +522,16 @@ def test_make_graph_orders_rows_by_label_then_id():
         ([0, 0, 0], [[0], [1, -1], [2]], "edge into 1 has source out of range for n=3"),
         ([0, 0, 0], [[0], [], [2, 3]], "edge into 2 has source out of range for n=3"),
         ([0, 0, 0], [[0], [1]], "got 3 labels but 2 predecessor lists"),
+        ([0], [[0.0]], "node 0: predecessor 0.0 is not an int"),
+        ([0, 0], [[1], ["0"]], "node 1: predecessor '0' is not an int"),
+        ([0], [None], "node 0: predecessor row None is not a sequence"),
+        (["a"], [[0]], "label 'a' of node 0 is not an int"),
+        ([0, 0.5], [[1], [0]], "label 0.5 of node 1 is not an int"),
     ],
-    ids=["source-below-0", "source-n", "length-mismatch"],
+    ids=[
+        "source-below-0", "source-n", "length-mismatch", "float-source",
+        "str-source", "none-row", "str-label", "float-label",
+    ],
 )
 def test_make_graph_rejects_bad_rows(labels, preds, message):
     with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
@@ -546,6 +570,26 @@ def test_trim_keeps_prefix_or_suffix(n, sigma, seed):
                 assert list(kept) == top[::-1]
         if gt.preds == h.preds:
             assert gt is h
+
+
+def _assert_greatest_runs_transpose_to_the_trim(g):
+    # max_partition transposes only the greatest-label runs; the engine's
+    # top-level trim must then see the rows it would have kept
+    want = trim_for_kinds(transpose_alphabet(g))
+    got = transpose_alphabet(_trim_to_greatest_runs(g))
+    assert (got.n, got.sigma, got.label) == (want.n, want.sigma, want.label)
+    assert got.preds == want.preds
+    assert trim_for_kinds(got) is got
+
+
+def test_greatest_runs_transpose_to_the_trim_exhaustively():
+    for g in small_corpus(3, 3):
+        _assert_greatest_runs_transpose_to_the_trim(g)
+
+
+@given(generated_graphs())
+def test_greatest_runs_transpose_to_the_trim(g):
+    _assert_greatest_runs_transpose_to_the_trim(g)
 
 
 def test_trim_returns_input_when_nothing_dropped(fig_graph):
