@@ -109,10 +109,9 @@ def _bad_row(preds: Sequence) -> tuple[int, str] | None:
     """The first row that is not a sequence of ints, as (node, what is
     wrong), or None."""
     for v, ps in enumerate(preds):
-        try:
-            bad = _first_non_int(ps)
-        except TypeError:
+        if not isinstance(ps, Sequence):
             return v, f"predecessor row {ps!r} is not a sequence"
+        bad = _first_non_int(ps)
         if bad is not None:
             return v, f"predecessor {bad[1]!r} is not an int"
     return None
@@ -154,15 +153,18 @@ def validate(g: LabeledGraph) -> ValidationReport:
     """
     out: list[tuple[str, str, str]] = []
     n, sigma, label, preds = g.n, g.sigma, g.label, g.preds
-    # type: n, sigma, labels and sources are ints (a bool is one). The other
-    # rules compare and index with them, so these are reported alone
+    # type: n, sigma, labels and sources are ints (a bool is one), and label,
+    # preds and each row are sequences. The other rules compare, index and
+    # slice with them, so these are reported alone
     out += [("type", "graph", f"{name} {x!r} is not an int")
             for name, x in (("n", n), ("sigma", sigma)) if not isinstance(x, int)]
+    out += [("type", "graph", f"{name} {x!r} is not a sequence")
+            for name, x in (("label", label), ("preds", preds)) if not isinstance(x, Sequence)]
     if not g.rows_checked:
-        bad = _first_non_int(label)
+        bad = _first_non_int(label) if isinstance(label, Sequence) else None
         if bad is not None:
             out.append(("type", f"node {bad[0]}", f"label {bad[1]!r} is not an int"))
-        row = _bad_row(preds)
+        row = _bad_row(preds) if isinstance(preds, Sequence) else None
         if row is not None:
             out.append(("type", f"node {row[0]}", row[1]))
     if out:

@@ -207,9 +207,10 @@ def test_criterion_5_quadratic_scaling(capsys):
 
 
 def test_criterion_6_duality(capsys):
-    # max_partition is defined as the reversed min_partition of the
-    # transposed graph, so this holds by construction; the correctness of max
-    # rests on the oracle equivalence of criteria 2 and 3
+    # max_partition runs the engine on the transposed greatest-label runs of
+    # g, not on transpose_alphabet(g), so this holds only if those runs are
+    # what the engine's trim keeps; the correctness of max rests on the
+    # oracle equivalence of criteria 2 and 3
     exhaustive, rnd = _acceptance_corpora()
     ok = True
     for g in exhaustive + rnd:

@@ -11,7 +11,7 @@ from dataclasses import replace
 from itertools import chain
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gsa
@@ -71,6 +71,18 @@ def test_validate_unused_character():
     assert any(rule == "alphabet" for rule, _, _ in rep.violations)
 
 
+# every public name that takes a graph and validates it first
+VALIDATING_CALLS = [
+    min_partition,
+    max_partition,
+    minmax_partition,
+    lambda g: oracle_partition(g, "min"),
+    lambda g: oracle_partition(g, "max"),
+    oracle_minmax,
+    lambda g: oracle_prefixes(g, "min", 3),
+]
+
+
 @pytest.mark.parametrize(
     "n, sigma, labels, preds, rule",
     [
@@ -89,23 +101,81 @@ def test_validate_unused_character():
         pytest.param(1, 1, (0,), ((0.0,),), "type", id="float-source"),
         pytest.param(1, "1", (0,), ((0,),), "type", id="str-sigma"),
         pytest.param(1.0, 1, (0,), ((0,),), "type", id="float-n"),
+        pytest.param(1, 1, None, ((0,),), "type", id="none-label-field"),
+        pytest.param(1, 1, (0,), None, "type", id="none-preds-field"),
+        pytest.param(1, 1, 0, ((0,),), "type", id="int-label-field"),
+        pytest.param(1, 1, (0,), 0, "type", id="int-preds-field"),
+        pytest.param(2, 1, (0, 0), ({1}, {0}), "type", id="set-rows"),
     ],
 )
 def test_every_validate_rule_is_named_and_rejected(n, sigma, labels, preds, rule):
     # built directly, so validate checks the rows as well
     g = gsa.LabeledGraph(n, sigma, labels, preds)
     assert [r for r, _, _ in validate(g).violations] == [rule]
-    calls = [
-        min_partition,
-        max_partition,
-        minmax_partition,
-        lambda g: oracle_partition(g, "min"),
-        lambda g: oracle_partition(g, "max"),
-        oracle_minmax,
-    ]
-    for fn in calls:
+    for fn in VALIDATING_CALLS:
         with pytest.raises(InvalidGraphError, match=rule):
             fn(g)
+
+
+@st.composite
+def malformed_graphs(draw):
+    """A LabeledGraph whose fields and rows are drawn from ints, bools,
+    floats, strings, None, sets, dicts, lists and tuples.
+
+    One field (n, sigma, label, preds or a row), all of them or none may
+    hold such junk; the others hold ints, or sequences of ints of length n,
+    so the rules behind the type rule are reached too."""
+    n = draw(st.integers(0, 3))
+    small = st.integers(-1, n)
+    value = st.one_of(
+        small, st.booleans(), st.floats(-1, 4), st.text(max_size=2), st.none(),
+        st.sets(small, max_size=2), st.dictionaries(small, small, max_size=2),
+    )
+    bad = draw(st.sampled_from(["", "n", "sigma", "label", "preds", "row", "all"]))
+
+    def seq(item, lo=0, hi=4):
+        lists = st.lists(item, min_size=lo, max_size=hi)
+        return lists.flatmap(lambda xs: st.sampled_from([xs, tuple(xs)]))
+
+    def field(good, name):
+        if bad in (name, "all"):
+            return draw(st.one_of(good, seq(value), value))
+        return draw(good)
+
+    row = seq(small, 1, 2)
+    if bad in ("row", "all"):
+        row = st.one_of(row, seq(value), value)
+    return gsa.LabeledGraph(
+        field(st.just(n), "n"),
+        field(st.integers(0, n + 1), "sigma"),
+        field(seq(small, n, n), "label"),
+        field(seq(row, n, n), "preds"),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(g=malformed_graphs())
+# one graph for each rule validate names, then one valid graph
+@example(g=gsa.LabeledGraph(2, 2, (0, 1), ((1,),)))  # shape
+@example(g=gsa.LabeledGraph(3, 2, (0, 1, 2), ((0,), (0,), (1,))))  # label-range
+@example(g=gsa.LabeledGraph(2, 1, (0, 0), ((0, 1), ())))  # in-degree
+@example(g=gsa.LabeledGraph(3, 1, (0, 0, 0), ((0, 1, 2), (0,), (0,))))  # determinism
+@example(g=gsa.LabeledGraph(1, 2, (0,), ((0,),)))  # alphabet
+@example(g=gsa.LabeledGraph(2, 2, (0, 1), ((5,), (0,))))  # edge-range
+@example(g=gsa.LabeledGraph(3, 2, (0, 1, 1), ((0,), (2, 0), (1,))))  # order
+@example(g=gsa.LabeledGraph(2, 1, (0, 0), ({1}, {0})))  # type
+@example(g=gsa.LabeledGraph(2, 2, [0, 1], [[1], [0]]))
+def test_malformed_graphs_raise_only_invalid_graph_error(g):
+    # transpose_alphabet and format_graph do not validate, so are not called
+    rep = validate(g)
+    assert isinstance(rep, gsa.ValidationReport) and rep.ok == (not rep.violations)
+    for fn in VALIDATING_CALLS:
+        try:
+            fn(g)
+        except InvalidGraphError:
+            assert not rep.ok
+        else:
+            assert rep.ok
 
 
 def test_bool_counts_as_an_int():

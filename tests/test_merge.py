@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings
 
-from gsa import make_graph, min_partition, transpose_alphabet
+import gsa.driver
+from gsa import make_graph, max_partition, min_partition, minmax_partition, transpose_alphabet
 from gsa.classify import compute_tau
 from gsa.generators import gen
 from gsa.merge import (
@@ -21,7 +22,7 @@ from gsa.merge import (
 )
 from gsa.oracle import oracle_partition, oracle_prefixes
 
-from conftest import FIG_MIN_GROUPS, generated_graphs, successor_rows
+from conftest import FIG_MIN_GROUPS, generated_graphs, small_corpus, successor_rows
 
 
 @dataclass
@@ -349,8 +350,9 @@ def test_psi_order_observation(exhaustive_graphs):
         ([[5, 1]], 3),  # tau 3 and 1, both labeled 1
         ([[1]], 3),  # one node, tau 1
         ([[1, 2]], 1),  # both tau 1, labeled 1 and 2
+        ([[2], [1], [3], [4], [6]], 1),  # pure, but label 2 before label 1
     ],
-    ids=["tau-mixed", "wrong-tau", "label-mixed"],
+    ids=["tau-mixed", "wrong-tau", "label-mixed", "label-order"],
 )
 def test_merge_rejects_impure_class_group(fig_graph, class_groups, direction):
     tau = compute_tau(fig_graph)
@@ -401,6 +403,44 @@ def test_merge_matches_group_objects_at_scale(kind, n, sigma, copies, density):
     truth = min_partition(g)
     assert min(map(len, truth.groups)) > 1
     assert _assert_merge_matches_group_objects(g, truth) > 1
+
+
+def _engine_merges_match_group_objects(graphs, mp):
+    """Run the three partition calls on each graph with every merge they
+    make, at every level, checked against the reference as it is made.
+    Returns the number of merges and the largest alphabet one of them saw."""
+    seen = []
+
+    def recorder(*args):
+        out = merge_partitions(*args)
+        assert out == _merge_with_group_objects(*args), args[:2]
+        seen.append(args[0].sigma)
+        return out
+
+    mp.setattr(gsa.driver, "merge_partitions", recorder)
+    for g in graphs:
+        for call in (min_partition, max_partition, minmax_partition):
+            call(g)
+    return len(seen), max(seen, default=0)
+
+
+def test_every_engine_merge_matches_group_objects_exhaustively(monkeypatch):
+    count, _ = _engine_merges_match_group_objects(small_corpus(3, 3), monkeypatch)
+    assert count > 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(g=generated_graphs())
+def test_every_engine_merge_matches_group_objects_on_generators(g):
+    with pytest.MonkeyPatch.context() as mp:
+        _engine_merges_match_group_objects([g], mp)
+
+
+def test_every_engine_merge_matches_group_objects_at_depth(monkeypatch):
+    # reduced levels: the recursed alphabet grows far past the input's
+    g = gen("random", 2000, 4, seed=5, density=0.3)
+    count, sigma = _engine_merges_match_group_objects([g], monkeypatch)
+    assert count > 6 and sigma > 100
 
 
 def _merge_counting_rows(g, tau, class_groups, direction):
