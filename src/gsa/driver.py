@@ -2,9 +2,9 @@
 
 The engine sorts nodes by their minimum strings: classify the nodes, pick
 the smaller of the tau=1 / tau=3 classes, trim each row to its least-label
-run, explore each class node, recurse on the reduced graph, and merge the
-recursed partition back. The recursed class never exceeds half the nodes,
-so the recursion depth is O(log n) and total work is quadratic.
+run, explore the class nodes in one pass, recurse on the reduced graph, and
+merge the recursed partition back. The recursed class never exceeds half
+the nodes, so the recursion depth is O(log n) and total work is quadratic.
 
 The maximum strings of g are the minimum strings of g with its character
 order flipped, so ``max_partition`` runs the same engine on the transposed
@@ -117,12 +117,13 @@ def _level(
 ) -> tuple[list[int], int, LabeledGraph, ReducedGraph | None, LevelStats | None]:
     """One classify-trim-explore-reduce step of the recursion.
 
-    Explores and reduces on the trimmed graph, which keeps every minimum
-    string and tau. Returns (tau, direction, trimmed graph, reduced graph or
-    None when the class recursed on is empty, the level's LevelStats or None
-    when ``stats`` is None). The exploration records stay here, so the
-    recursion does not hold them; their largest ``edges_scanned`` is folded
-    into ``stats.peak_exploration_edges``.
+    Explores the whole class recursed on in one call and reduces it in one
+    more, both on the trimmed graph, which keeps every minimum string and
+    tau. Returns (tau, direction, trimmed graph, reduced graph or None when
+    the class is empty, the level's LevelStats or None when ``stats`` is
+    None). The keys and frontiers stay here, so the recursion does not hold
+    them; the most edges one node's walk read is folded into
+    ``stats.peak_exploration_edges``.
     """
     n = g.n
     tau = compute_tau(g)
@@ -135,13 +136,10 @@ def _level(
     if class_nodes:
         if min(n1, n3) > 0 and len(class_nodes) > n // 2:
             raise AssertionError(f"recursed class has {len(class_nodes)} of {n} nodes")
-        visited = [-1] * n
-        records = [explore(gt, tau, u, direction, visited) for u in class_nodes]
-        rg = build_reduced_graph(gt, records, direction)
+        ex = explore(gt, tau, class_nodes, direction)
+        rg = build_reduced_graph(gt, class_nodes, ex.keys, ex.frontiers)
         if stats is not None:
-            stats.peak_exploration_edges = max(
-                stats.peak_exploration_edges, *(r.edges_scanned for r in records)
-            )
+            stats.peak_exploration_edges = max(stats.peak_exploration_edges, ex.peak_edges)
     if stats is None:
         return tau, direction, gt, rg, None
     reduced_n = 0 if rg is None else rg.graph.n

@@ -64,16 +64,24 @@ def make_graph(
     """Build a LabeledGraph from per-node labels and predecessor lists.
 
     The input rows may be in any order. The stored ``preds[v]`` is sorted by
-    (label of the source, source id). Type- and range-checks every label and
-    source, but does not validate; call :func:`validate` to check the
-    structural assumptions.
+    (label of the source, source id). ``labels``, ``preds`` and each row must
+    be sequences. Type- and range-checks every label and source, but does
+    not validate; call :func:`validate` to check the structural assumptions.
     """
+    for name, xs in (("labels", labels), ("preds", preds)):
+        if not isinstance(xs, Sequence):
+            raise GraphFormatError(f"{name} must be a sequence, not {type(xs).__name__}")
     n = len(labels)
     if len(preds) != n:
         raise GraphFormatError(f"got {n} labels but {len(preds)} predecessor lists")
     bad = _first_non_int(labels)
     if bad is not None:
         raise GraphFormatError(f"label {bad[1]!r} of node {bad[0]} is not an int")
+    # a dict or set row iterates without a TypeError below, so row types are
+    # checked here, once per distinct type
+    if not all(issubclass(t, Sequence) for t in set(map(type, preds))):
+        row = _bad_row(preds)
+        raise GraphFormatError(f"node {row[0]}: {row[1]}")
     ids = list(range(n))
     succ: list[list[int]] = [[] for _ in ids]
     try:
@@ -86,8 +94,8 @@ def make_graph(
             for u in ps:
                 succ[u].append(v)
     except TypeError:
-        # a row that is not iterable, or a source that does not compare with
-        # ints or index a list, fails above; rows of ints pay no check
+        # a source that does not compare with ints or index a list fails
+        # above; rows of ints pay no check
         row = _bad_row(preds)
         if row is None:
             raise

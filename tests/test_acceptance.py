@@ -128,19 +128,16 @@ def test_criterion_4_structural_properties(capsys):
         tau = compute_tau(g)
         gt = trim_for_kinds(g)
         rows = oracle_prefixes(g, "min", g.n + 2)
-        visited = [-1] * g.n
-        recs3 = []
-        for u in range(g.n):
-            if tau[u] == 3:
-                r = explore(gt, tau, u, 3, visited)
-                recs3.append(r)
-            elif tau[u] == 1:
-                r = explore(g, tau, u, 1, visited)
-            else:
-                continue
-            ok = ok and r.gamma == rows[u][: len(r.gamma)]
-        if len(recs3) >= 2:
-            rg = build_reduced_graph(gt, recs3, 3)
+        nodes3 = [u for u in range(g.n) if tau[u] == 3]
+        nodes1 = [u for u in range(g.n) if tau[u] == 1]
+        ex3 = explore(gt, tau, nodes3, 3)
+        ex1 = explore(g, tau, nodes1, 1)
+        for nodes, ex in ((nodes3, ex3), (nodes1, ex1)):
+            for u, key in zip(nodes, ex.keys):
+                gamma = key[:-2]
+                ok = ok and gamma == rows[u][: len(gamma)]
+        if len(nodes3) >= 2:
+            rg = build_reduced_graph(gt, nodes3, ex3.keys, ex3.frontiers)
             pr = oracle_partition(g, "min").rank
             rr = oracle_partition(rg.graph, "min").rank
             nm = rg.node_map

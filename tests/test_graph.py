@@ -597,10 +597,17 @@ def test_make_graph_orders_rows_by_label_then_id():
         ([0], [None], "node 0: predecessor row None is not a sequence"),
         (["a"], [[0]], "label 'a' of node 0 is not an int"),
         ([0, 0.5], [[1], [0]], "label 0.5 of node 1 is not an int"),
+        (None, [[0]], "labels must be a sequence, not NoneType"),
+        ([0], None, "preds must be a sequence, not NoneType"),
+        ([0], 5, "preds must be a sequence, not int"),
+        ([0], iter([[0]]), "preds must be a sequence, not list_iterator"),
+        ([0], [{0: 1}], "node 0: predecessor row {0: 1} is not a sequence"),
+        ([0, 0], [[1], {0}], "node 1: predecessor row {0} is not a sequence"),
     ],
     ids=[
         "source-below-0", "source-n", "length-mismatch", "float-source",
-        "str-source", "none-row", "str-label", "float-label",
+        "str-source", "none-row", "str-label", "float-label", "none-labels",
+        "none-preds", "int-preds", "iterator-preds", "dict-row", "set-row",
     ],
 )
 def test_make_graph_rejects_bad_rows(labels, preds, message):
