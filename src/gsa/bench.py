@@ -27,41 +27,35 @@ def bench_scaling(
     sizes: list[int],
     repeats: int = 3,
     seed: int = 0,
-    sigma: int | None = None,
-    density: float | None = None,
 ) -> tuple[list[BenchRecord], dict[str, float]]:
     """Time min_partition per (kind, size) and fit the log-log slope per kind.
 
     Timing excludes generation; the first run on the smallest size is a
     discarded warm-up; per size the median over ``repeats`` runs is used for
-    the fit. Dense random graphs by default use sigma = n/4 and half of the
-    possible n*sigma edges, so the edge count grows quadratically in n.
+    the fit. Random graphs use sigma = n/4, half of the possible n*sigma
+    edges and seed + n, so the edge count grows quadratically in n; the
+    other kinds use sigma 2 (cycle: at most n) and seed.
     """
+    if not all(isinstance(x, int) for x in (*sizes, repeats, seed)):
+        raise ValueError(f"sizes, repeats and seed must be ints: {sizes!r}, {repeats!r}, {seed!r}")
     if len(sizes) < 3 or sorted(set(sizes)) != sizes:
         raise ValueError("need >=3 strictly increasing sizes")
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     records: list[BenchRecord] = []
     slopes: dict[str, float] = {}
+    xs = [math.log(n) for n in sizes]
     for kind in kinds:
-        xs: list[float] = []
         ys: list[float] = []
         for idx, n in enumerate(sizes):
             g_seed = seed + n if kind == "random" else seed
             if kind == "random":
-                s = sigma if sigma is not None else max(2, n // 4)
-                d = density if density is not None else 0.5
-                g = gen("random", n, s, seed=g_seed, density=d)
-            elif kind == "cycle":
-                g = gen("cycle", n, min(n, sigma or 2), seed=g_seed)
-            elif kind == "chain-feeding-sink":
-                g = gen("chain-feeding-sink", n, 2, seed=g_seed)
+                g = gen("random", n, max(2, n // 4), seed=g_seed, density=0.5)
             else:
-                g = gen(kind, n, sigma or 2, seed=g_seed)
+                g = gen(kind, n, min(n, 2) if kind == "cycle" else 2, seed=g_seed)
             if idx == 0:
                 min_partition(g)  # warm-up, discarded
             times = []
-            stats = EngineStats()
             for _ in range(repeats):
                 stats = EngineStats()
                 t0 = time.perf_counter_ns()
@@ -79,7 +73,6 @@ def bench_scaling(
                     recursion_depth=stats.depth,
                 )
             )
-            xs.append(math.log(n))
             ys.append(math.log(max(med, 1)))
         slopes[kind] = statistics.linear_regression(xs, ys).slope
     return records, slopes

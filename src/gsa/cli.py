@@ -50,32 +50,20 @@ def _load(path: str) -> LabeledGraph:
     return parse_graph(text)
 
 
-def _print_partition(p: Partition, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps({"groups": [list(grp) for grp in p.groups]}))
-    else:
-        for grp in p.groups:
-            print(" ".join(str(u) for u in grp))
+def _oracle(g: LabeledGraph, kind: str) -> Partition | MinMaxPartition:
+    return oracle_minmax(g) if kind == "minmax" else oracle_partition(g, kind)
 
 
-def _print_minmax(p: MinMaxPartition, as_json: bool) -> None:
+def _print_partition(p: Partition | MinMaxPartition, as_json: bool) -> None:
+    """One group per line (a joint key as m:NODE or M:NODE), or one JSON object."""
+    joint = isinstance(p, MinMaxPartition)
     if as_json:
-        print(
-            json.dumps(
-                {
-                    "groups": [
-                        [[k.node, k.kind] for k in grp] for grp in p.groups
-                    ]
-                }
-            )
-        )
-    else:
-        for grp in p.groups:
-            print(
-                " ".join(
-                    ("m:" if k.kind == "min" else "M:") + str(k.node) for k in grp
-                )
-            )
+        groups = [[[k.node, k.kind] if joint else k for k in grp] for grp in p.groups]
+        print(json.dumps({"groups": groups}))
+        return
+    for grp in p.groups:
+        keys = (f"{'m' if k.kind == 'min' else 'M'}:{k.node}" if joint else str(k) for k in grp)
+        print(" ".join(keys))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,8 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="1000,2000,4000,8000")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=int, default=None)
-    p.add_argument("--density", type=float, default=None)
     p.add_argument("--json", action="store_true")
     return ap
 
@@ -162,26 +148,16 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.cmd in ("min", "max", "minmax"):
         g = _load(args.file)
-        if args.cmd == "minmax":
-            mm = minmax_partition(g)
-            if args.verify and mm != oracle_minmax(g):
-                print("internal assertion: oracle disagreement", file=sys.stderr)
-                return EXIT_ASSERT
-            _print_minmax(mm, args.json)
-            return EXIT_OK
-        part = min_partition(g) if args.cmd == "min" else max_partition(g)
-        if args.verify and part != oracle_partition(g, args.cmd):
+        engine = {"min": min_partition, "max": max_partition, "minmax": minmax_partition}
+        part = engine[args.cmd](g)
+        if args.verify and part != _oracle(g, args.cmd):
             print("internal assertion: oracle disagreement", file=sys.stderr)
             return EXIT_ASSERT
         _print_partition(part, args.json)
         return EXIT_OK
 
     if args.cmd == "oracle":
-        g = _load(args.file)
-        if args.kind == "minmax":
-            _print_minmax(oracle_minmax(g), args.json)
-        else:
-            _print_partition(oracle_partition(g, args.kind), args.json)
+        _print_partition(_oracle(_load(args.file), args.kind), args.json)
         return EXIT_OK
 
     if args.cmd == "reduce":
@@ -209,38 +185,34 @@ def _dispatch(args: argparse.Namespace) -> int:
             sys.stdout.write(text)
         return EXIT_OK
 
-    if args.cmd == "bench":
-        kinds = [k for k in args.kinds.split(",") if k]
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-        records, slopes = bench_scaling(
-            kinds,
-            sizes,
-            repeats=args.repeats,
-            seed=args.seed,
-            sigma=args.sigma,
-            density=args.density,
-        )
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "records": [dataclasses.asdict(r) for r in records],
-                        "slopes": slopes,
-                    }
-                )
+    # bench: the subparsers are required, so every other command returned above
+    kinds = [k for k in args.kinds.split(",") if k]
+    sizes = [int(s) for s in args.sizes.split(",") if s]
+    records, slopes = bench_scaling(
+        kinds,
+        sizes,
+        repeats=args.repeats,
+        seed=args.seed,
+    )
+    if args.json:
+        print(
+            json.dumps(
+                {
+                    "records": [dataclasses.asdict(r) for r in records],
+                    "slopes": slopes,
+                }
             )
-        else:
-            print("kind\tn\tm\ttime_ms\tdepth\tpeak_work")
-            for r in records:
-                print(
-                    f"{r.kind}\t{r.n}\t{r.m}\t{r.wall_time_ns / 1e6:.1f}"
-                    f"\t{r.recursion_depth}\t{r.peak_frontier_work}"
-                )
-            for kind, slope in slopes.items():
-                print(f"slope\t{kind}\t{slope:.3f}")
-        return EXIT_OK
-
-    raise ValueError(f"unknown command {args.cmd!r}")
+        )
+    else:
+        print("kind\tn\tm\ttime_ms\tdepth\tpeak_work")
+        for r in records:
+            print(
+                f"{r.kind}\t{r.n}\t{r.m}\t{r.wall_time_ns / 1e6:.1f}"
+                f"\t{r.recursion_depth}\t{r.peak_frontier_work}"
+            )
+        for kind, slope in slopes.items():
+            print(f"slope\t{kind}\t{slope:.3f}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -29,6 +29,10 @@ def gen(
                          nodes; every chain node's minimum has a leading run
                          equal to its depth. sigma must be 2.
     """
+    if not all(isinstance(x, int) for x in (n, sigma, seed)):
+        raise ValueError(f"n, sigma and seed must be ints, got {n!r}, {sigma!r}, {seed!r}")
+    if not isinstance(density, (int, float)):
+        raise ValueError(f"density must be a number, got {density!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind == "cycle":

@@ -240,9 +240,14 @@ def from_dfa(
     Final states play no role and are not represented. Returns the graph and
     the character mapping used, so callers can translate results back.
     """
-    if not 0 <= initial < num_states:
-        raise GraphFormatError(f"initial state {initial} out of range")
-    chars = sorted({c for _, _, c in edges})
+    if not isinstance(num_states, int):
+        raise GraphFormatError(f"num_states must be an int, got {num_states!r}")
+    if not (isinstance(initial, int) and 0 <= initial < num_states):
+        raise GraphFormatError(f"initial state {initial!r} out of range")
+    try:
+        chars = sorted({c for _, _, c in edges})
+    except (TypeError, ValueError) as e:
+        raise GraphFormatError(f"edges must be (state, state, char) triples: {e}") from e
     charmap: dict[Hashable, int] = {c: i + 1 for i, c in enumerate(chars)}
     labels: list[int | None] = [None] * num_states
     labels[initial] = 0
@@ -251,8 +256,8 @@ def from_dfa(
     out_chars: list[set[int]] = [set() for _ in range(num_states)]
     out_chars[initial].add(0)
     for u, v, c in edges:
-        if not (0 <= u < num_states and 0 <= v < num_states):
-            raise GraphFormatError(f"edge ({u},{v}) out of range")
+        if not all(isinstance(x, int) and 0 <= x < num_states for x in (u, v)):
+            raise GraphFormatError(f"edge ({u},{v}) out of range: states are ints < {num_states}")
         if v == initial:
             raise GraphFormatError("initial state has an incoming edge")
         ci = charmap[c]

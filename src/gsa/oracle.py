@@ -28,8 +28,8 @@ def oracle_prefixes(g: LabeledGraph, kind: str, L: int) -> list[tuple[int, ...]]
     """
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be min or max, got {kind!r}")
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    if not isinstance(L, int) or L < 1:
+        raise ValueError(f"L must be an int >= 1, got {L!r}")
     require_valid(g)
     best = min if kind == "min" else max
     rows: list[tuple[int, ...]] = [(c,) for c in g.label]

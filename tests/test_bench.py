@@ -24,3 +24,13 @@ def test_records_the_seed_passed_to_gen():
 def test_rejects_fewer_than_one_repeat(repeats):
     with pytest.raises(ValueError, match="repeats"):
         bench_scaling(["cycle"], [16, 32, 64], repeats=repeats)
+
+
+@pytest.mark.parametrize(
+    "sizes, repeats, seed",
+    [([8.0, 16, 32], 1, 0), ([8, 16, 32], 1.5, 0), ([8, 16, 32], 1, None)],
+    ids=["float-size", "float-repeats", "none-seed"],
+)
+def test_rejects_non_int_arguments(sizes, repeats, seed):
+    with pytest.raises(ValueError, match="must be ints"):
+        bench_scaling(["cycle"], sizes, repeats=repeats, seed=seed)

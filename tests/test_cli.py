@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -187,6 +188,44 @@ def test_gen_debruijn_sigma_one_is_a_usage_error(capsys):
     assert main(["gen", "--kind", "debruijn", "-n", "1", "--sigma", "1"]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["-n", "0"], "n must be >= 1"),
+        (["--kind", "cycle", "-n", "3", "--sigma", "4"], "cycle needs 1 <= sigma <= n"),
+        (["--kind", "debruijn", "-n", "4", "--sigma", "0"], "debruijn needs sigma >= 1"),
+        (["--kind", "chain-feeding-sink", "-n", "5", "--sigma", "3"], "defined for sigma = 2"),
+        (["--kind", "chain-feeding-sink", "-n", "1"], "chain-feeding-sink needs n >= 2"),
+        (["-n", "5", "--sigma", "6"], "random needs 1 <= sigma <= n"),
+        (["-n", "5", "--density", "1.5"], r"density must be in \[0, 1\]"),
+        (["-n", "5", "--density", "-0.1"], r"density must be in \[0, 1\]"),
+    ],
+    ids=[
+        "n-below-1",
+        "cycle-sigma",
+        "debruijn-sigma",
+        "chain-sigma",
+        "chain-n",
+        "random-sigma",
+        "density-above-1",
+        "density-below-0",
+    ],
+)
+def test_gen_argument_errors(args, message, capsys):
+    assert main(["gen", *args]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(rf"^usage error: .*{message}", captured.err)
+
+
+def test_unknown_generator_kind_is_a_usage_error(capsys):
+    # gen --kind is limited to the known kinds by argparse; bench --kinds is
+    # not, so it reaches gen's own check
+    argv = ["bench", "--kinds", "spiral", "--sizes", "8,16,32", "--repeats", "1"]
+    assert main(argv) == EXIT_USAGE
+    assert "usage error: unknown generator kind 'spiral'" in capsys.readouterr().err
+
+
 def test_bench_needs_three_sizes(capsys):
     assert main(["bench", "--sizes", "100,200"]) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
@@ -216,6 +255,17 @@ def test_bench_small_run(capsys):
     data = json.loads(capsys.readouterr().out)
     assert {r["n"] for r in data["records"]} == {50, 100, 200}
     assert "cycle" in data["slopes"]
+
+
+def test_bench_text(capsys):
+    argv = ["bench", "--kinds", "cycle", "--sizes", "8,16,32", "--repeats", "1"]
+    assert main(argv) == EXIT_OK
+    header, *rows, slope = capsys.readouterr().out.splitlines()
+    assert header == "kind\tn\tm\ttime_ms\tdepth\tpeak_work"
+    # one row per size; a cycle has one edge per node
+    assert [r.split("\t")[:3] for r in rows] == [["cycle", n, n] for n in ("8", "16", "32")]
+    assert all(re.fullmatch(r"(\S+\t){3}\d+\.\d\t\d+\t\d+", r) for r in rows)
+    assert re.fullmatch(r"slope\tcycle\t-?\d+\.\d{3}", slope)
 
 
 def test_missing_file_is_invalid(capsys):

@@ -251,6 +251,15 @@ def test_from_dfa_rejects_edge_into_initial():
             3, [(0, 1, "a"), (0, 2, "a")], 0, "state 0 is nondeterministic", id="nondeterministic"
         ),
         pytest.param(3, [(0, 1, "a")], 0, "state 2 has no incoming edge", id="unreachable"),
+        pytest.param(
+            3, [(0, 1, "a"), (0, 2, 1)], 0, "'<' not supported", id="unordered-chars"
+        ),
+        pytest.param(2, [(0, 1, ["a"])], 0, "unhashable type", id="unhashable-char"),
+        pytest.param(2.0, [(0, 1, "a")], 0, "num_states must be an int", id="float-states"),
+        pytest.param(2, [(0, 1, "a")], None, "initial state None out of range", id="none-initial"),
+        pytest.param(2, [(0, 1.0, "a")], 0, r"edge \(0,1.0\) out of range", id="float-state"),
+        pytest.param(2, None, 0, "not iterable", id="edges-not-iterable"),
+        pytest.param(2, [(0, 1)], 0, "triples", id="edge-not-a-triple"),
     ],
 )
 def test_from_dfa_rejects(num_states, edges, initial, message):

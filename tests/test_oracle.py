@@ -48,6 +48,11 @@ def test_prefixes_rejects_bad_length(fig_graph):
         oracle_prefixes(fig_graph, "min", 0)
 
 
+def test_prefixes_rejects_non_int_length(fig_graph):
+    with pytest.raises(ValueError, match="L must be an int"):
+        oracle_prefixes(fig_graph, "min", 2.5)
+
+
 def test_partition_rejects_bad_kind(fig_graph):
     with pytest.raises(ValueError):
         oracle_partition(fig_graph, "best")
