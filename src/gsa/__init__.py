@@ -28,12 +28,7 @@ from .graph import (
     validate,
 )
 from .merge import Partition
-from .oracle import (
-    enumerate_small_graphs,
-    oracle_minmax,
-    oracle_partition,
-    oracle_prefixes,
-)
+from .oracle import oracle_minmax, oracle_partition, oracle_prefixes
 
 __all__ = [
     "EngineStats",
@@ -45,7 +40,6 @@ __all__ = [
     "Partition",
     "ValidationReport",
     "bench_scaling",
-    "enumerate_small_graphs",
     "format_graph",
     "from_dfa",
     "gen",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .driver import EngineStats, min_partition
@@ -23,8 +24,8 @@ class BenchRecord:
 
 
 def bench_scaling(
-    kinds: list[str],
-    sizes: list[int],
+    kinds: Sequence[str],
+    sizes: Sequence[int],
     repeats: int = 3,
     seed: int = 0,
 ) -> tuple[list[BenchRecord], dict[str, float]]:
@@ -38,7 +39,7 @@ def bench_scaling(
     """
     if not all(isinstance(x, int) for x in (*sizes, repeats, seed)):
         raise ValueError(f"sizes, repeats and seed must be ints: {sizes!r}, {repeats!r}, {seed!r}")
-    if len(sizes) < 3 or sorted(set(sizes)) != sizes:
+    if len(sizes) < 3 or sorted(set(sizes)) != list(sizes):
         raise ValueError("need >=3 strictly increasing sizes")
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")

@@ -28,11 +28,15 @@ def gen(
       chain-feeding-sink self-loop head (label 1) feeding a chain of label-0
                          nodes; every chain node's minimum has a leading run
                          equal to its depth. sigma must be 2.
+
+    Only random reads ``density``, but every kind requires it in [0, 1].
     """
     if not all(isinstance(x, int) for x in (n, sigma, seed)):
         raise ValueError(f"n, sigma and seed must be ints, got {n!r}, {sigma!r}, {seed!r}")
     if not isinstance(density, (int, float)):
         raise ValueError(f"density must be a number, got {density!r}")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError("density must be in [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind == "cycle":
@@ -68,8 +72,6 @@ def gen(
 
     if sigma < 1 or sigma > n:
         raise ValueError("random needs 1 <= sigma <= n")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must be in [0, 1]")
     rng = random.Random(seed)
     labels = list(range(sigma)) + [rng.randrange(sigma) for _ in range(n - sigma)]
     rng.shuffle(labels)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain
 
@@ -230,21 +230,23 @@ def require_valid(g: LabeledGraph) -> None:
 
 def from_dfa(
     num_states: int,
-    edges: Sequence[tuple[int, int, Hashable]],
+    edges: Iterable[tuple[int, int, Hashable]],
     initial: int,
 ) -> tuple[LabeledGraph, dict[Hashable, int]]:
     """Convert a DFA transition relation into a LabeledGraph.
 
     Adds a self-loop at the initial state labeled with a fresh minimum
     character (mapped to integer 0); every other character shifts up by one.
-    Final states play no role and are not represented. Returns the graph and
-    the character mapping used, so callers can translate results back.
+    Final states play no role and are not represented. ``edges`` is read
+    once, so it may be an iterator. Returns the graph and the character
+    mapping used, so callers can translate results back.
     """
     if not isinstance(num_states, int):
         raise GraphFormatError(f"num_states must be an int, got {num_states!r}")
     if not (isinstance(initial, int) and 0 <= initial < num_states):
         raise GraphFormatError(f"initial state {initial!r} out of range")
     try:
+        edges = list(edges)
         chars = sorted({c for _, _, c in edges})
     except (TypeError, ValueError) as e:
         raise GraphFormatError(f"edges must be (state, state, char) triples: {e}") from e

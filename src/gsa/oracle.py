@@ -1,18 +1,16 @@
 """Brute-force ground truth, independent of the recursive algorithm.
 
 Everything here favors being obviously correct over being fast: bounded
-prefix tables built by direct dynamic programming, partitions computed as a
-rank fixpoint of the same recurrence, and exhaustive enumeration of all small
-legal graphs.
+prefix tables built by direct dynamic programming, and partitions computed
+as a rank fixpoint of the same recurrence.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from itertools import product
+from collections.abc import Sequence
 
 from .driver import MinMaxKey, MinMaxPartition
-from .graph import LabeledGraph, make_graph, require_valid
+from .graph import LabeledGraph, require_valid
 from .merge import Partition, partition_from_groups
 
 
@@ -113,48 +111,4 @@ def oracle_minmax(g: LabeledGraph) -> MinMaxPartition:
         )
         out.append(keys)
     return MinMaxPartition(tuple(out))
-
-
-def enumerate_graphs_for_n(n: int, sigma_max: int) -> Iterator[LabeledGraph]:
-    """Every valid graph with exactly n nodes and alphabet size <= sigma_max.
-
-    Iterates over all surjective labelings and, per source node, all choices
-    of at most one successor per character (which is exactly determinism),
-    keeping the structures where every node has a predecessor. No isomorphism
-    reduction.
-    """
-    for s in range(1, min(n, sigma_max) + 1):
-        for labels in product(range(s), repeat=n):
-            if len(set(labels)) != s:
-                continue
-            by_char: list[list[int]] = [[] for _ in range(s)]
-            for v, c in enumerate(labels):
-                by_char[c].append(v)
-            # per node: one choice per character, -1 meaning no such edge
-            per_node = list(product(*[[-1, *by_char[c]] for c in range(s)]))
-            for choice in product(per_node, repeat=n):
-                indeg = [0] * n
-                ok = True
-                for targets in choice:
-                    for v in targets:
-                        if v >= 0:
-                            indeg[v] += 1
-                for v in range(n):
-                    if indeg[v] == 0:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                preds: list[list[int]] = [[] for _ in range(n)]
-                for u, targets in enumerate(choice):
-                    for v in targets:
-                        if v >= 0:
-                            preds[v].append(u)
-                yield make_graph(list(labels), preds, sigma=s)
-
-
-def enumerate_small_graphs(n_max: int, sigma: int) -> Iterator[LabeledGraph]:
-    """Every valid graph with 1..n_max nodes over alphabet size <= sigma."""
-    for n in range(1, n_max + 1):
-        yield from enumerate_graphs_for_n(n, sigma)
 

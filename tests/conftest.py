@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from gsa import LabeledGraph, make_graph
+from gsa import LabeledGraph, make_graph, transpose_alphabet
+from gsa.classify import compute_tau
 from gsa.generators import KINDS, gen
-from gsa.oracle import enumerate_small_graphs
+
+from corpus import ascending_labelings, full_labelings, graphs
 
 # 7 nodes labeled #,a,b,c,c,a,c as 0,1,2,3,3,1,3; node 0 is the #-looped
 # start, nodes 4 and 6 carry the c-self-loops. This is the worked example
@@ -47,7 +49,8 @@ def successor_rows(g: LabeledGraph) -> list[list[int]]:
 
 
 def small_corpus(n_max: int = 3, sigma: int = 2) -> list[LabeledGraph]:
-    return list(enumerate_small_graphs(n_max, sigma))
+    """Every valid graph with 1..n_max nodes and at most sigma labels, in every id order."""
+    return [g for n in range(1, n_max + 1) for g in graphs(n, full_labelings(n, sigma))]
 
 
 def random_corpus(
@@ -66,6 +69,33 @@ def random_corpus(
 @pytest.fixture(scope="session")
 def exhaustive_graphs() -> list[LabeledGraph]:
     return small_corpus()
+
+
+@pytest.fixture(scope="session")
+def ascending_n4() -> list[LabeledGraph]:
+    """Every label-ascending graph with n = 4 and sigma <= 3 (38,074)."""
+    return list(graphs(4, ascending_labelings(4, 3)))
+
+
+@pytest.fixture(scope="session")
+def second_level_graphs(ascending_n4) -> list[LabeledGraph]:
+    """The graphs of ``ascending_n4`` whose min or max call runs a second
+    engine level (7,230).
+
+    The engine recurses on the smaller of the tau=1 and tau=3 classes, on
+    none when either is empty, and the reduced graph has a node per class
+    node; max runs it on the transposed graph. So a second level runs
+    exactly when both classes of g or of its transpose hold two nodes. This
+    costs a tenth of running the calls with ``EngineStats``.
+    """
+    return [
+        g
+        for g in ascending_n4
+        if any(
+            min(tau.count(1), tau.count(3)) >= 2
+            for tau in (compute_tau(g), compute_tau(transpose_alphabet(g)))
+        )
+    ]
 
 
 @pytest.fixture(scope="session")

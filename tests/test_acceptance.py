@@ -22,13 +22,7 @@ from gsa.classify import compute_tau
 from gsa.generators import gen
 from gsa.graph import trim_for_kinds
 from gsa.merge import _run_heights
-from gsa.oracle import (
-    enumerate_graphs_for_n,
-    enumerate_small_graphs,
-    oracle_minmax,
-    oracle_partition,
-    oracle_prefixes,
-)
+from gsa.oracle import oracle_minmax, oracle_partition, oracle_prefixes
 from gsa.reduction import build_reduced_graph, explore
 
 from conftest import (
@@ -37,7 +31,9 @@ from conftest import (
     FIG_PREDS,
     FIG_TAU,
     random_corpus,
+    small_corpus,
 )
+from corpus import full_labelings, graphs
 from test_driver import _keys
 
 
@@ -51,7 +47,7 @@ def _verdict(capsys, num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _acceptance_corpora():
-    exhaustive = list(enumerate_small_graphs(3, 2))
+    exhaustive = small_corpus()
     rnd = random_corpus()
     return exhaustive, rnd
 
@@ -75,14 +71,14 @@ def _timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-def test_criterion_2_exhaustive_oracle_equivalence(capsys):
+def test_criterion_2_exhaustive_oracle_equivalence(capsys, ascending_n4):
+    # every graph with n <= 3 and sigma <= 2, in every id order; a sample of
+    # those with n = 4 and sigma <= 2; and every label-ascending one with
+    # n = 4 and sigma <= 3, the smallest graphs that reach a second level
     checked = 0
     ok = True
-    for g in enumerate_small_graphs(3, 2):
-        ok = ok and _all_three_match(g)
-        checked += 1
-    n4 = list(enumerate_graphs_for_n(4, 2))
-    for g in random.Random(0).sample(n4, 10_000):
+    n4 = list(graphs(4, full_labelings(4, 2)))
+    for g in small_corpus() + random.Random(0).sample(n4, 10_000) + ascending_n4:
         ok = ok and _all_three_match(g)
         checked += 1
     _verdict(

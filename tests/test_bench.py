@@ -34,3 +34,11 @@ def test_rejects_fewer_than_one_repeat(repeats):
 def test_rejects_non_int_arguments(sizes, repeats, seed):
     with pytest.raises(ValueError, match="must be ints"):
         bench_scaling(["cycle"], sizes, repeats=repeats, seed=seed)
+
+
+def test_accepts_any_sequence_of_sizes():
+    as_list, _ = bench_scaling(["cycle"], [8, 16, 32], repeats=1)
+    as_tuple, _ = bench_scaling(["cycle"], (8, 16, 32), repeats=1)
+    assert [(r.n, r.m) for r in as_tuple] == [(r.n, r.m) for r in as_list]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        bench_scaling(["cycle"], (8, 32, 16), repeats=1)

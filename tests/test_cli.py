@@ -199,6 +199,8 @@ def test_gen_debruijn_sigma_one_is_a_usage_error(capsys):
         (["-n", "5", "--sigma", "6"], "random needs 1 <= sigma <= n"),
         (["-n", "5", "--density", "1.5"], r"density must be in \[0, 1\]"),
         (["-n", "5", "--density", "-0.1"], r"density must be in \[0, 1\]"),
+        # only random reads the density, but every kind checks it
+        (["--kind", "cycle", "-n", "6", "--density", "2"], r"density must be in \[0, 1\]"),
     ],
     ids=[
         "n-below-1",
@@ -209,6 +211,7 @@ def test_gen_debruijn_sigma_one_is_a_usage_error(capsys):
         "random-sigma",
         "density-above-1",
         "density-below-0",
+        "cycle-density",
     ],
 )
 def test_gen_argument_errors(args, message, capsys):

@@ -226,6 +226,12 @@ def test_from_dfa_fig_example():
     assert g == make_graph(FIG_LABELS, FIG_PREDS, sigma=4)
 
 
+def test_from_dfa_reads_an_iterator_of_edges_once():
+    edges = [(0, 1, "a"), (1, 2, "b"), (2, 1, "a")]
+    assert from_dfa(3, iter(edges), 0) == from_dfa(3, edges, 0)
+    assert from_dfa(2, iter([(0, 1, "a")]), 0) == from_dfa(2, [(0, 1, "a")], 0)
+
+
 def test_from_dfa_one_state():
     g, charmap = from_dfa(1, [], initial=0)
     assert g == make_graph([0], [[0]], sigma=1)

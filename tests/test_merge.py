@@ -405,28 +405,38 @@ def test_merge_matches_group_objects_at_scale(kind, n, sigma, copies, density):
     assert _assert_merge_matches_group_objects(g, truth) > 1
 
 
-def _engine_merges_match_group_objects(graphs, mp):
-    """Run the three partition calls on each graph with every merge they
+def _engine_merges_match_group_objects(
+    graphs, mp, calls=(min_partition, max_partition, minmax_partition)
+):
+    """Run the partition calls on each graph with every merge they
     make, at every level, checked against the reference as it is made.
-    Returns the number of merges and the largest alphabet one of them saw."""
+    Returns the graph of each merge, in the order they were made."""
     seen = []
 
     def recorder(*args):
         out = merge_partitions(*args)
         assert out == _merge_with_group_objects(*args), args[:2]
-        seen.append(args[0].sigma)
+        seen.append(args[0])
         return out
 
     mp.setattr(gsa.driver, "merge_partitions", recorder)
     for g in graphs:
-        for call in (min_partition, max_partition, minmax_partition):
+        for call in calls:
             call(g)
-    return len(seen), max(seen, default=0)
+    return seen
 
 
-def test_every_engine_merge_matches_group_objects_exhaustively(monkeypatch):
-    count, _ = _engine_merges_match_group_objects(small_corpus(3, 3), monkeypatch)
-    assert count > 0
+def test_every_engine_merge_matches_group_objects_exhaustively(
+    second_level_graphs, monkeypatch
+):
+    assert _engine_merges_match_group_objects(small_corpus(3, 3), monkeypatch)
+    # minmax runs the engine levels of min and max on the same graph, so
+    # these graphs run only those two; each merges a 2-node second level
+    assert len(second_level_graphs) == 7_230
+    calls = (min_partition, max_partition)
+    for g in second_level_graphs:
+        merged = _engine_merges_match_group_objects([g], monkeypatch, calls)
+        assert any(h.n == 2 for h in merged), (g.label, g.preds)
 
 
 @settings(deadline=None, max_examples=60)
@@ -439,8 +449,8 @@ def test_every_engine_merge_matches_group_objects_on_generators(g):
 def test_every_engine_merge_matches_group_objects_at_depth(monkeypatch):
     # reduced levels: the recursed alphabet grows far past the input's
     g = gen("random", 2000, 4, seed=5, density=0.3)
-    count, sigma = _engine_merges_match_group_objects([g], monkeypatch)
-    assert count > 6 and sigma > 100
+    merged = _engine_merges_match_group_objects([g], monkeypatch)
+    assert len(merged) > 6 and max(h.sigma for h in merged) > 100
 
 
 def _merge_counting_rows(g, tau, class_groups, direction):

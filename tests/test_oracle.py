@@ -9,8 +9,6 @@ import pytest
 from gsa import InvalidGraphError, make_graph, transpose_alphabet
 from gsa.oracle import (
     OracleStabilizationError,
-    enumerate_graphs_for_n,
-    enumerate_small_graphs,
     oracle_minmax,
     oracle_partition,
     oracle_prefixes,
@@ -18,6 +16,7 @@ from gsa.oracle import (
 from gsa import validate
 
 from conftest import FIG_MAX_GROUPS, FIG_MIN_GROUPS
+from corpus import ascending_labelings, full_labelings, graphs
 
 
 def test_fig_min_prefixes(fig_graph):
@@ -123,10 +122,14 @@ def test_transpose_duality(exhaustive_graphs):
         assert fwd == rev
 
 
+def _full_count(n: int, sigma: int) -> int:
+    return sum(1 for _ in graphs(n, full_labelings(n, sigma)))
+
+
 def test_enumeration_base_cases():
-    assert [g.preds for g in enumerate_graphs_for_n(1, 1)] == [((0,),)]
+    assert [g.preds for g in graphs(1, full_labelings(1, 1))] == [((0,),)]
     # n=1 with a larger alphabet budget adds nothing: labels must be surjective
-    assert len(list(enumerate_graphs_for_n(1, 3))) == 1
+    assert _full_count(1, 3) == 1
 
 
 def test_enumeration_yields_valid_unique_graphs(exhaustive_graphs):
@@ -139,7 +142,7 @@ def test_enumeration_yields_valid_unique_graphs(exhaustive_graphs):
 
 
 def count_graphs_by_edge_subsets(n: int, sigma_max: int) -> int:
-    """Independent recount of enumerate_graphs_for_n, for self-consistency.
+    """Independent recount of the tests' full corpus, for self-consistency.
 
     Enumerates raw edge subsets of the complete digraph and filters by the
     graph invariants directly. Exponential in n^2; keep n <= 3.
@@ -169,18 +172,30 @@ def count_graphs_by_edge_subsets(n: int, sigma_max: int) -> int:
 
 def test_enumeration_count_agrees_with_edge_subsets():
     for n in (1, 2, 3):
-        got = sum(1 for _ in enumerate_graphs_for_n(n, 2))
-        assert got == count_graphs_by_edge_subsets(n, 2)
+        assert _full_count(n, 2) == count_graphs_by_edge_subsets(n, 2)
 
 
 def test_enumeration_count_sigma3():
-    got = sum(1 for _ in enumerate_graphs_for_n(3, 3))
-    assert got == count_graphs_by_edge_subsets(3, 3)
+    assert _full_count(3, 3) == count_graphs_by_edge_subsets(3, 3)
 
 
-def test_small_graphs_accumulates_sizes():
-    per_n = [sum(1 for _ in enumerate_graphs_for_n(n, 2)) for n in (1, 2, 3)]
-    assert sum(per_n) == len(list(enumerate_small_graphs(3, 2)))
+@pytest.mark.parametrize("n, sigma", [(3, 3), (4, 2)])
+def test_ascending_corpus_holds_every_labeled_shape(n, sigma):
+    # renumbering any graph's nodes by (label, id) makes its labels ascend
+    # with the id, and gives a graph of the ascending corpus; the ascending
+    # corpus is a part of the full one, so both hold the same shapes
+    ascending = {(g.label, g.preds) for g in graphs(n, ascending_labelings(n, sigma))}
+    full = list(graphs(n, full_labelings(n, sigma)))
+    assert ascending <= {(g.label, g.preds) for g in full}
+    for g in full:
+        order = sorted(range(n), key=lambda u: (g.label[u], u))
+        new_id = {u: i for i, u in enumerate(order)}
+        h = make_graph(
+            [g.label[u] for u in order],
+            [[new_id[p] for p in g.preds[u]] for u in order],
+            sigma=g.sigma,
+        )
+        assert (h.label, h.preds) in ascending, (g.label, g.preds)
 
 
 def test_stabilization_guard_is_generous():

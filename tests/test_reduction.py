@@ -286,8 +286,10 @@ def _assert_pass_matches_reference(g, tau, class_nodes, direction):
     return rg
 
 
-def _engine_levels_match_reference(graphs, mp):
-    """Run the three partition calls on each graph, checking every level's
+def _engine_levels_match_reference(
+    graphs, mp, calls=(min_partition, max_partition, minmax_partition)
+):
+    """Run the partition calls on each graph, checking every level's
     explore and build_reduced_graph against the reference as they run.
     Returns the number of levels checked."""
     levels = []
@@ -299,13 +301,19 @@ def _engine_levels_match_reference(graphs, mp):
 
     mp.setattr(gsa.driver, "explore", recorder)
     for g in graphs:
-        for call in (min_partition, max_partition, minmax_partition):
+        for call in calls:
             call(g)
     return len(levels)
 
 
-def test_class_pass_matches_reference_at_every_level_exhaustively(monkeypatch):
+def test_class_pass_matches_reference_at_every_level_exhaustively(
+    second_level_graphs, monkeypatch
+):
     assert _engine_levels_match_reference(small_corpus(3, 3), monkeypatch) > 0
+    # minmax runs the engine levels of min and max on the same graph, so
+    # these graphs run only those two
+    calls = (min_partition, max_partition)
+    assert _engine_levels_match_reference(second_level_graphs, monkeypatch, calls) > 0
 
 
 @settings(deadline=None, max_examples=60)
