@@ -33,7 +33,7 @@ time with the collector on again. Both cases give the same results.
 from __future__ import annotations
 
 import gc
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -63,6 +63,8 @@ class MinMaxPartition:
 
     def restricted(self, kind: str) -> Partition:
         """Project onto one kind, dropping groups that become empty."""
+        if kind not in ("min", "max"):
+            raise ValueError(f"kind must be min or max, got {kind!r}")
         kept = []
         for grp in self.groups:
             nodes = [k.node for k in grp if k.kind == kind]
@@ -175,25 +177,29 @@ def min_partition(g: LabeledGraph, stats: EngineStats | None = None) -> Partitio
     return partition_from_groups(_engine(g, stats))
 
 
-def _max_groups(g: LabeledGraph, stats: EngineStats | None) -> list[list[int]]:
-    """Groups of all nodes of g by their maximum strings, ascending.
+def _max_groups(
+    g: LabeledGraph, stats: EngineStats | None
+) -> tuple[list[list[int]], LabeledGraph]:
+    """Groups of all nodes of g by their maximum strings, ascending, and g
+    cut to its greatest-label runs.
 
-    The engine runs on the transposed graph of g's greatest-label runs,
-    which are the rows its top-level trim would keep, so that trim changes
-    nothing and only the kept edges are copied. The top level, recorded
-    last, still counts all of g's edges as its ``m``.
+    The engine runs on the transposed graph of that cut, whose rows are the
+    ones its top-level trim would keep, so that trim changes nothing and
+    only the kept edges are copied. The top level, recorded last, still
+    counts all of g's edges as its ``m``.
     """
-    groups = _engine(transpose_alphabet(_trim_to_greatest_runs(g)), stats)
+    greatest = _trim_to_greatest_runs(g)
+    groups = _engine(transpose_alphabet(greatest), stats)
     if stats is not None and g.n > 1:  # n <= 1 records no level
         stats.levels[-1].m = g.edge_count()
-    return groups[::-1]
+    return groups[::-1], greatest
 
 
 @_collector_paused()
 def max_partition(g: LabeledGraph, stats: EngineStats | None = None) -> Partition:
     """Ordered partition of all nodes by their maximum strings, ascending."""
     require_valid(g)
-    return partition_from_groups(_max_groups(g, stats))
+    return partition_from_groups(_max_groups(g, stats)[0])
 
 
 def _group_index(groups: list[list[int]], n: int) -> list[int]:
@@ -206,34 +212,20 @@ def _group_index(groups: list[list[int]], n: int) -> list[int]:
 
 
 def _union_graph(
-    g: LabeledGraph, rank_min: list[int], rank_max: list[int]
+    least: LabeledGraph, greatest: LabeledGraph, rank_min: list[int], rank_max: list[int]
 ) -> tuple[list[int], list[int]]:
     """One kept predecessor per key: (f, h).
 
-    ``f[u]`` is u's predecessor of least min rank and ``h[u]`` its
-    predecessor of greatest max rank, so following f (h) from u spells u's
-    min (max) string. A row is label-sorted and strings start with their
-    label, so only its first (last) label run is scanned when the row holds
-    more than one label.
+    ``least`` and ``greatest`` are g with each row cut to its least- and
+    greatest-label run, the only sources that can carry a min or max string.
+    ``f[u]`` is u's predecessor in ``least`` of least min rank and ``h[u]``
+    its predecessor in ``greatest`` of greatest max rank, so following f (h)
+    from u spells u's min (max) string.
     """
-    label = g.label
-    by_label = label.__getitem__
     min_key = rank_min.__getitem__
     max_key = rank_max.__getitem__
-    f: list[int] = []
-    h: list[int] = []
-    for ps in g.preds:
-        if len(ps) == 1:
-            f.append(ps[0])
-            h.append(ps[0])
-            continue
-        first, last = label[ps[0]], label[ps[-1]]
-        if first == last:
-            f.append(min(ps, key=min_key))
-            h.append(max(ps, key=max_key))
-        else:
-            f.append(min(ps[: bisect_right(ps, first, key=by_label)], key=min_key))
-            h.append(max(ps[bisect_left(ps, last, key=by_label) :], key=max_key))
+    f = [ps[0] if len(ps) == 1 else min(ps, key=min_key) for ps in least.preds]
+    h = [ps[0] if len(ps) == 1 else max(ps, key=max_key) for ps in greatest.preds]
     return f, h
 
 
@@ -316,14 +308,12 @@ def minmax_partition(
     """
     require_valid(g)
     n = g.n
-    if n == 0:
-        return MinMaxPartition(())
     label = g.label
     min_groups = _engine(g, stats)
-    max_groups = _max_groups(g, stats)
+    max_groups, greatest = _max_groups(g, stats)
     rank_min = _group_index(min_groups, n)
     rank_max = _group_index(max_groups, n)
-    f, h = _union_graph(g, rank_min, rank_max)
+    f, h = _union_graph(trim_for_kinds(g), greatest, rank_min, rank_max)
     c_min = [label[grp[0]] for grp in min_groups]
     lo, eq = _interleave(
         [rank_min[f[grp[0]]] for grp in min_groups],

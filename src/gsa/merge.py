@@ -28,7 +28,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, groupby
 
 from .classify import equal_label_heights
@@ -43,15 +42,10 @@ class Partition:
     """Ordered partition of a node universe by string value.
 
     Nodes in one group have equal strings; an earlier group means a strictly
-    smaller string. ``rank`` maps node -> group index; it is built on first
-    read.
+    smaller string.
     """
 
     groups: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def rank(self) -> dict[int, int]:
-        return {u: i for i, grp in enumerate(self.groups) for u in grp}
 
 
 def partition_from_groups(groups: Sequence[Sequence[int]]) -> Partition:

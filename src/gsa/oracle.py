@@ -88,8 +88,6 @@ def oracle_partition(g: LabeledGraph, kind: str) -> Partition:
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be min or max, got {kind!r}")
     require_valid(g)
-    if g.n == 0:
-        return partition_from_groups([])
     rank = _rank_fixpoint(g.label, g.preds, [kind == "max"] * g.n)
     return partition_from_groups(_groups_from_rank(rank))
 

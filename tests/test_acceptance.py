@@ -19,6 +19,7 @@ from gsa import (
 )
 from gsa.bench import bench_scaling
 from gsa.classify import compute_tau
+from gsa.driver import _group_index
 from gsa.generators import gen
 from gsa.graph import trim_for_kinds
 from gsa.merge import _run_heights
@@ -134,8 +135,8 @@ def test_criterion_4_structural_properties(capsys):
                 ok = ok and gamma == rows[u][: len(gamma)]
         if len(nodes3) >= 2:
             rg = build_reduced_graph(gt, nodes3, ex3.keys, ex3.frontiers)
-            pr = oracle_partition(g, "min").rank
-            rr = oracle_partition(rg.graph, "min").rank
+            pr = _group_index(oracle_partition(g, "min").groups, g.n)
+            rr = _group_index(oracle_partition(rg.graph, "min").groups, rg.graph.n)
             nm = rg.node_map
             ok = ok and all(
                 (pr[nm[i]] < pr[nm[j]]) == (rr[i] < rr[j])
@@ -166,7 +167,7 @@ def test_criterion_4_structural_properties(capsys):
     for g in exhaustive:
         tau = compute_tau(g)
         psi = _run_heights(g, [t == 3 for t in tau])
-        rank = oracle_partition(g, "min").rank
+        rank = _group_index(oracle_partition(g, "min").groups, g.n)
         t3 = [u for u in range(g.n) if tau[u] == 3]
         for u in t3:
             for v in t3:

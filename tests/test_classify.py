@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gsa import LabeledGraph, make_graph, transpose_alphabet
 from gsa.classify import compute_tau, equal_label_heights
+from gsa.driver import _group_index
 from gsa.generators import gen
 from gsa.merge import _run_heights
 from gsa.oracle import oracle_partition, oracle_prefixes
@@ -149,7 +150,7 @@ def test_tau_monotone_in_min_order():
     # among equal-label nodes, larger tau never means a smaller minimum
     for g in small_corpus(3, 2):
         tau = compute_tau(g)
-        rank = oracle_partition(g, "min").rank
+        rank = _group_index(oracle_partition(g, "min").groups, g.n)
         for u in range(g.n):
             for v in range(g.n):
                 if g.label[u] == g.label[v] and tau[u] < tau[v]:

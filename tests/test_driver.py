@@ -23,7 +23,7 @@ from gsa import (
 import gsa.driver
 from gsa.driver import _group_index, _union_graph, reduction_step
 from gsa.generators import gen
-from gsa.graph import trim_for_kinds
+from gsa.graph import _trim_to_greatest_runs, trim_for_kinds
 from gsa.oracle import oracle_minmax, oracle_partition, oracle_prefixes
 
 from conftest import (
@@ -34,6 +34,7 @@ from conftest import (
     FIG_PREDS,
     generated_graphs,
     random_corpus,
+    small_corpus,
 )
 
 
@@ -62,6 +63,18 @@ def test_single_node():
     assert minmax_partition(g).groups == (
         (MinMaxKey(0, "min"), MinMaxKey(0, "max")),
     )
+
+
+def test_empty_graph():
+    g = make_graph([], [])
+    stats = EngineStats()
+    assert min_partition(g, stats).groups == ()
+    assert max_partition(g, stats).groups == ()
+    assert minmax_partition(g, stats).groups == ()
+    assert stats.levels == []
+    assert min_partition(g) == oracle_partition(g, "min")
+    assert max_partition(g) == oracle_partition(g, "max")
+    assert minmax_partition(g) == oracle_minmax(g)
 
 
 def test_equal_label_cycle_one_group():
@@ -111,6 +124,11 @@ def test_minmax_restrictions_match_single_kind(mixed_corpus):
         mm = minmax_partition(g)
         assert mm.restricted("min") == min_partition(g)
         assert mm.restricted("max") == max_partition(g)
+
+
+def test_restricted_rejects_an_unknown_kind(fig_graph):
+    with pytest.raises(ValueError, match="kind must be min or max, got 'mni'"):
+        minmax_partition(fig_graph).restricted("mni")
 
 
 def test_duality_max_is_reversed_transposed_min(mixed_corpus):
@@ -224,16 +242,19 @@ def test_structured_generators_oracle(kind, k, sigma):
     assert max_partition(g) == oracle_partition(g, "max")
 
 
-def _kept_edges(g):
-    n = g.n
-    rank_min = _group_index(min_partition(g).groups, n)
-    rank_max = _group_index(max_partition(g).groups, n)
-    return _union_graph(g, rank_min, rank_max)
+def _ranks(g):
+    rank_min = _group_index(min_partition(g).groups, g.n)
+    rank_max = _group_index(max_partition(g).groups, g.n)
+    return rank_min, rank_max
+
+
+def _kept_edges(g, rank_min, rank_max):
+    return _union_graph(trim_for_kinds(g), _trim_to_greatest_runs(g), rank_min, rank_max)
 
 
 def _assert_kept_edges_spell_strings(g):
     n = g.n
-    f, h = _kept_edges(g)
+    f, h = _kept_edges(g, *_ranks(g))
     L = 2 * n + 1
     for sense, link in (("min", f), ("max", h)):
         want = oracle_prefixes(g, sense, L)
@@ -255,6 +276,34 @@ def test_union_graph_kept_edges_spell_strings_exhaustively(exhaustive_graphs):
 @given(g=generated_graphs())
 def test_union_graph_kept_edges_spell_strings(g):
     _assert_kept_edges_spell_strings(g)
+
+
+def _assert_kept_edges_are_row_extremes(g):
+    """A source of smaller label has a smaller min rank and a source of
+    greater label a greater max rank, so the extremes over the whole row are
+    the kept edges, ties to the first in row order."""
+    rank_min, rank_max = _ranks(g)
+    f, h = _kept_edges(g, rank_min, rank_max)
+    assert f == [min(ps, key=rank_min.__getitem__) for ps in g.preds], (g.label, g.preds)
+    assert h == [max(ps, key=rank_max.__getitem__) for ps in g.preds], (g.label, g.preds)
+
+
+def test_union_graph_kept_edges_are_row_extremes_exhaustively():
+    for g in small_corpus(3, 3):
+        _assert_kept_edges_are_row_extremes(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(g=generated_graphs())
+def test_union_graph_kept_edges_are_row_extremes(g):
+    _assert_kept_edges_are_row_extremes(g)
+
+
+def test_union_graph_kept_edges_are_row_extremes_on_many_labels():
+    g = gen("random", 200, 50, seed=0, density=0.5)
+    # every row holds more than one label, so both cuts shorten every row
+    assert all(g.label[ps[0]] != g.label[ps[-1]] for ps in g.preds)
+    _assert_kept_edges_are_row_extremes(g)
 
 
 def _joint_ranks(label: tuple[int, ...], link: list[int]) -> list[int]:
@@ -285,7 +334,7 @@ def _reference_minmax(g):
     """The joint partition by prefix doubling over the 2n kept edges: key x
     < n is (x, min), key x + n is (x, max)."""
     n = g.n
-    f, h = _kept_edges(g)
+    f, h = _kept_edges(g, *_ranks(g))
     rank = _joint_ranks(g.label * 2, f + [v + n for v in h])
     groups = [[] for _ in range(max(rank, default=-1) + 1)]
     for u in range(n):
@@ -404,7 +453,7 @@ def test_minmax_order_by_walks_at_large_n(kind, n, sigma):
     differ within 2n characters, the later group reading the larger one.
     """
     g = gen(kind, n, sigma, seed=3, density=0.1)
-    rank = {"min": min_partition(g).rank, "max": max_partition(g).rank}
+    rank = dict(zip(("min", "max"), _ranks(g)))
     pick = {"min": min, "max": max}
     step = {
         (u, sense): (pick[sense](ps, key=rank[sense].__getitem__), sense)

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 import gsa.driver
 from gsa import make_graph, max_partition, min_partition, minmax_partition, transpose_alphabet
 from gsa.classify import compute_tau
+from gsa.driver import _group_index
 from gsa.generators import gen
 from gsa.merge import (
     MergeError,
-    Partition,
     _run_heights,
     merge_partitions,
     partition_from_groups,
@@ -336,7 +336,7 @@ def test_psi_order_observation(exhaustive_graphs):
     for g in exhaustive_graphs:
         tau = compute_tau(g)
         psi = _run_heights(g, [t == 3 for t in tau])
-        rank = oracle_partition(g, "min").rank
+        rank = _group_index(oracle_partition(g, "min").groups, g.n)
         t3 = [u for u in range(g.n) if tau[u] == 3]
         for u in t3:
             for v in t3:
@@ -358,12 +358,6 @@ def test_merge_rejects_impure_class_group(fig_graph, class_groups, direction):
     tau = compute_tau(fig_graph)
     with pytest.raises(MergeError, match="class group is not label- and tau-pure"):
         merge_partitions(fig_graph, tau, class_groups, direction)
-
-
-def test_partition_rank_consistency():
-    p = Partition(((2, 3), (0,), (1,)))
-    assert p.rank == {2: 0, 3: 0, 0: 1, 1: 2}
-    assert set(p.rank) == {0, 1, 2, 3}
 
 
 @settings(deadline=None, max_examples=80)

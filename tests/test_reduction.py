@@ -12,7 +12,7 @@ import gsa.driver
 from gsa import gen, make_graph, max_partition, min_partition, minmax_partition
 from gsa import transpose_alphabet, validate
 from gsa.classify import compute_tau
-from gsa.driver import EngineStats
+from gsa.driver import EngineStats, _group_index
 from gsa.graph import trim_for_kinds
 from gsa.oracle import oracle_partition, oracle_prefixes
 from gsa.reduction import (
@@ -516,8 +516,8 @@ def test_order_preservation_exhaustively(exhaustive_graphs):
         ex = explore(gt, tau, nodes, 3)
         rg = build_reduced_graph(gt, nodes, ex.keys, ex.frontiers)
         assert validate(rg.graph).ok
-        parent_rank = oracle_partition(g, "min").rank
-        reduced_rank = oracle_partition(rg.graph, "min").rank
+        parent_rank = _group_index(oracle_partition(g, "min").groups, g.n)
+        reduced_rank = _group_index(oracle_partition(rg.graph, "min").groups, rg.graph.n)
         nodes = list(rg.node_map)
         for i, u in enumerate(nodes):
             for j, v in enumerate(nodes):
