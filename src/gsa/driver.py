@@ -12,12 +12,12 @@ graph and reverses the groups. It first cuts each row of g to its
 greatest-label run, the run that carries the maximum string, and transposes
 only that: the transposed runs are the least-label runs that the engine's
 top-level trim keeps, so the engine sees the same graph, and the other
-edges are never copied. The joint partition runs
-the engine for min and for max and keeps one extremal in-edge per (node,
-kind) key. Within one kind the order is then known, so it places each max
-group among the min groups by a monotone recurrence over the kept edges:
-one bisect per max group, iterated only on the cycles of the kept max
-edges.
+edges are never copied. The joint partition cuts g once to its least-label
+runs and once to its greatest, runs the engine for min on the first cut and
+for max on the second, and keeps from the same cuts one extremal in-edge per
+(node, kind) key. Within one kind the order is then known, so it places each
+max group among the min groups by a monotone recurrence over the kept edges:
+one bisect per max group, iterated only on the cycles of the kept max edges.
 
 ``min_partition``, ``max_partition`` and ``minmax_partition`` pause CPython's
 cyclic garbage collector while they run. A call allocates hundreds of
@@ -177,6 +177,18 @@ def min_partition(g: LabeledGraph, stats: EngineStats | None = None) -> Partitio
     return partition_from_groups(_engine(g, stats))
 
 
+def _engine_on_cut(
+    g: LabeledGraph, cut: LabeledGraph, stats: EngineStats | None
+) -> list[list[int]]:
+    """``_engine`` on ``cut``, g already cut to the runs that the engine's
+    top-level trim keeps, so that trim changes nothing. The top level,
+    recorded last, still counts all of g's edges as its ``m``."""
+    groups = _engine(cut, stats)
+    if stats is not None and g.n > 1:  # n <= 1 records no level
+        stats.levels[-1].m = g.edge_count()
+    return groups
+
+
 def _max_groups(
     g: LabeledGraph, stats: EngineStats | None
 ) -> tuple[list[list[int]], LabeledGraph]:
@@ -184,14 +196,10 @@ def _max_groups(
     cut to its greatest-label runs.
 
     The engine runs on the transposed graph of that cut, whose rows are the
-    ones its top-level trim would keep, so that trim changes nothing and
-    only the kept edges are copied. The top level, recorded last, still
-    counts all of g's edges as its ``m``.
+    ones its top-level trim would keep, so only the kept edges are copied.
     """
     greatest = _trim_to_greatest_runs(g)
-    groups = _engine(transpose_alphabet(greatest), stats)
-    if stats is not None and g.n > 1:  # n <= 1 records no level
-        stats.levels[-1].m = g.edge_count()
+    groups = _engine_on_cut(g, transpose_alphabet(greatest), stats)
     return groups[::-1], greatest
 
 
@@ -309,11 +317,12 @@ def minmax_partition(
     require_valid(g)
     n = g.n
     label = g.label
-    min_groups = _engine(g, stats)
+    least = trim_for_kinds(g)
+    min_groups = _engine_on_cut(g, least, stats)
     max_groups, greatest = _max_groups(g, stats)
     rank_min = _group_index(min_groups, n)
     rank_max = _group_index(max_groups, n)
-    f, h = _union_graph(trim_for_kinds(g), greatest, rank_min, rank_max)
+    f, h = _union_graph(least, greatest, rank_min, rank_max)
     c_min = [label[grp[0]] for grp in min_groups]
     lo, eq = _interleave(
         [rank_min[f[grp[0]]] for grp in min_groups],

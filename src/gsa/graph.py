@@ -361,9 +361,18 @@ def parse_graph(text: str) -> LabeledGraph:
     """Parse the TSV graph file format.
 
     Header ``gsa-graph v1 <n> <sigma>``, then one ``u<TAB>v<TAB>c`` line per
-    edge where c must equal the label of v. Lines starting with ``#`` are
-    comments. Rejects inconsistent labels. Only ``\\n``, ``\\r\\n`` and ``\\r``
-    end a line.
+    edge where c must equal the label of v. Edge lines may come in any
+    order. Lines starting with ``#`` are comments. Rejects inconsistent
+    labels. Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line.
+
+    A target's v and c are converted and checked once per run of its
+    lines: a line whose v and c are the same strings as the last edge
+    line's converts and range-checks only its u. :func:`format_graph`
+    writes each target's lines as one run. Every line still pays its split,
+    the conversion of u and one append. With no runs at all, each line also
+    pays the comparison: about 1.05× the time of a parse that converts
+    every field of every line, on the perfbench dense graph with its edge
+    lines shuffled.
 
     Lines are split from ``text`` itself, 64 Ki characters at a time; the
     whole text is copied once, at its own size, only when it holds a
@@ -393,23 +402,36 @@ def parse_graph(text: str) -> LabeledGraph:
     labels: dict[int, int] = {}  # node with an in-edge -> its label
     canon: dict[int, int] = {}  # one int object per target id
     succ: defaultdict[int, list[int]] = defaultdict(list)
+    # pb and pz are the v and c tokens of the last edge line that passed its
+    # checks, and v is that line's target. A line that repeats both tokens
+    # repeats checks that passed, so only its u is converted and checked
+    pb = pz = None
+    v = 0
     for ln in lines:
-        # blank and comment lines fail to split and are skipped here
+        # blank and comment lines fail to split or convert and are skipped here
         try:
             a, b, z = ln.split("\t")
-            u, v, c = int(a), int(b), int(z)
+            u = int(a)
         except ValueError as e:
             if not ln or ln[0] == "#":
                 continue
             raise GraphFormatError(f"bad edge line: {ln!r}") from e
-        if not (0 <= u < n and 0 <= v < n):
+        if b != pb or z != pz:
+            try:  # u converted, so the line is no comment
+                v, c = int(b), int(z)
+            except ValueError as e:
+                raise GraphFormatError(f"bad edge line: {ln!r}") from e
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"edge ({u},{v}) out of range")
+            if not 0 <= c < sigma:
+                raise GraphFormatError(f"char {c} out of range")
+            old = labels.setdefault(v, c)
+            if old != c:
+                raise GraphFormatError(f"node {v} has inconsistent labels {old} and {c}")
+            v, pb, pz = canon.setdefault(v, v), b, z
+        elif not 0 <= u < n:
             raise GraphFormatError(f"edge ({u},{v}) out of range")
-        if not 0 <= c < sigma:
-            raise GraphFormatError(f"char {c} out of range")
-        old = labels.setdefault(v, c)
-        if old != c:
-            raise GraphFormatError(f"node {v} has inconsistent labels {old} and {c}")
-        succ[u].append(canon.setdefault(v, v))
+        succ[u].append(v)
     for row in succ.values():
         row.sort()  # linear when the file lists edges by target
     ids = [canon.get(i, i) for i in range(n)]
@@ -427,7 +449,7 @@ def format_graph(g: LabeledGraph) -> str:
 
     Edges are written by target, and by source id within a target. Each
     target's lines are built as one string: every line of a row ends in the
-    same ``<TAB>v<TAB>c`` tail.
+    same ``<TAB>v<TAB>c`` tail, so :func:`parse_graph` reads them as one run.
     """
     out = [f"{HEADER_PREFIX} {g.n} {g.sigma}\n"]
     for v, ps in enumerate(g.preds):

@@ -185,6 +185,12 @@ def test_level_stats_count_edges_before_and_after_the_trim(fig_graph):
         assert top.m == h.edge_count()
         assert top.kept == trim_for_kinds(h).edge_count() < top.m
         assert all(0 < lv.kept <= lv.m for lv in stats.levels)
+    # a minmax call records the levels of a min call, then of a max call
+    stats, mins, maxs = EngineStats(), EngineStats(), EngineStats()
+    minmax_partition(g, stats=stats)
+    min_partition(g, stats=mins)
+    max_partition(g, stats=maxs)
+    assert stats.levels == mins.levels + maxs.levels
 
 
 def test_reduction_step_fig(fig_graph):

@@ -548,6 +548,93 @@ def test_parse_matches_stringio_reader_across_a_chunk_boundary(shift):
         parse_graph(bad)
 
 
+def _run_text(rng):
+    """A header over n = 4 and sigma = 3, then edge lines that mostly repeat
+    the v and c tokens of the line before, so that runs of one target hold
+    the bad u, c and label cases, spelled two ways, and comments break
+    them."""
+    lines = [rng.choice(["gsa-graph v1 4 3", "gsa-graph v1 4 2"])]
+    tail = "\t0\t0"
+    for _ in range(rng.randrange(12)):
+        r = rng.random()
+        if r < 0.15:
+            tail = "\t" + rng.choice("01234") + "\t" + rng.choice(["0", "00", "1", "2", "3"])
+        elif r < 0.25:
+            lines.append(rng.choice(["", "# c", "#" + tail, "x" + tail]))
+            continue
+        lines.append(rng.choice(["0", "1", "3", "03", "4", "-1", "x"]) + tail)
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_matches_stringio_reader_on_runs_of_one_target():
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(5000):
+        text = _run_text(rng)
+        _assert_parses_like_stringio(text)
+        out = _outcome(parse_graph, text)
+        outcomes.add(out.split(": ")[1].split(" ")[0] if isinstance(out, str) else "ok")
+    # some texts parse, and each edge line check fails on some text
+    assert outcomes == {"ok", "bad", "edge", "char", "node"}
+
+
+def test_parse_rejects_a_second_run_with_another_label():
+    # node 1's lines are two runs, apart, with labels 0 and 1
+    text = "gsa-graph v1 3 2\n0\t1\t0\n2\t1\t0\n0\t0\t0\n1\t1\t1\n"
+    with pytest.raises(GraphFormatError, match="^node 1 has inconsistent labels 0 and 1$"):
+        parse_graph(text)
+
+
+def test_parse_reads_a_run_broken_by_comments_and_blank_lines():
+    whole = "gsa-graph v1 3 2\n0\t2\t1\n1\t2\t1\n2\t2\t1\n0\t0\t0\n1\t1\t0\n"
+    # the comment repeats the run's v and c tokens after its first tab
+    broken = whole.replace("\n1\t2\t1\n", "\n# c\n\n1\t2\t1\n#0\t2\t1\n\n")
+    assert parse_graph(broken) == parse_graph(whole)
+    assert parse_graph(whole).preds[2] == (0, 1, 2)
+
+
+def test_parse_stores_one_int_object_per_node():
+    # int() makes a new object for each id above 256; target 270 is spelled
+    # 270 and 0270, in two runs
+    n = 300
+    lines = [f"{v - 1}\t{v}\t{int(v == 270)}" for v in range(1, n)]
+    lines += [f"{n - 1}\t0\t0", "5\t0270\t1"]
+    g = parse_graph(f"gsa-graph v1 {n} 2\n" + "\n".join(lines) + "\n")
+    assert validate(g).ok
+    assert g.preds[270] == (5, 269)
+    # every node is a source, and each is stored as one object
+    assert len({id(u) for ps in g.preds for u in ps}) == n
+
+
+@pytest.mark.parametrize("source", ["3", "-1", "03"])
+def test_parse_names_the_target_of_a_run_when_a_source_is_out_of_range(source):
+    text = f"gsa-graph v1 3 2\n0\t01\t0\n1\t01\t0\n{source}\t01\t0\n"
+    u = int(source)
+    with pytest.raises(GraphFormatError, match=re.escape(f"edge ({u},1) out of range")):
+        parse_graph(text)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_parse_reads_edge_lines_in_any_order(kind, seed):
+    g = _sample_graph(kind, 60, 3, seed)
+    head, *edges = format_graph(g).splitlines()
+    shuffled = list(edges)
+    random.Random(seed).shuffle(shuffled)
+    for order in (edges[::-1], shuffled):
+        assert parse_graph("\n".join([head, *order]) + "\n") == g
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_format_graph_writes_each_target_as_one_run(kind):
+    # parse_graph converts a target's v and c once per run of its lines
+    g = _sample_graph(kind, 300, 20, seed=3)
+    tails = [ln.split("\t", 1)[1] for ln in format_graph(g).splitlines()[1:]]
+    runs = 1 + sum(a != b for a, b in zip(tails, tails[1:]))
+    assert runs == sum(1 for ps in g.preds if ps)
+    assert len(set(tails)) == runs
+
+
 @given(
     n=st.integers(1, 10),
     sigma=st.integers(1, 3),
